@@ -19,9 +19,8 @@ DecomposeContext::~DecomposeContext() = default;
 void DecomposeContext::reconcile(const DecomposeOptions& options) {
   MMD_REQUIRE(options.num_threads >= 1, "num_threads must be >= 1");
   MMD_REQUIRE(options.fork_depth >= 0, "fork_depth must be >= 0");
-  // The sweep policy (mode/margin, incl. the legacy window_scan switch) is
-  // runtime splitter state re-stamped below, not a structural property —
-  // changing it never forces a splitter rebuild.
+  // The sweep mode is runtime splitter state re-stamped below, not a
+  // structural property — changing it never forces a splitter rebuild.
   const bool splitter_stale =
       splitter_ == nullptr || options.splitter != options_.splitter;
   // A borrowed external pool overrides the num_threads ownership logic:
@@ -60,8 +59,7 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
   // nothing (results are bit-identical for every value), so it is simply
   // re-stamped on the splitter on every reconcile.
   splitter_->set_fork_depth(options.fork_depth);
-  splitter_->set_sweep_mode(effective_sweep_mode(options));
-  splitter_->set_adaptive_margin(options.adaptive_margin);
+  splitter_->set_sweep_mode(options.sweep_mode);
   options_ = options;
   // Never cache a caller's prior pointer: it borrows storage that only has
   // to outlive the one call that carried it.  The context's own repartition

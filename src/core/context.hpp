@@ -143,9 +143,9 @@ class DecomposeContext {
   DecomposeResult decompose(std::span<const double> w);
 
   /// Same with per-call options; the splitter and pool are rebuilt only if
-  /// `options` actually changes the splitter kind, the window_scan rule,
-  /// or the thread count, so sweeping k, weights, or tolerances stays on
-  /// the warm path.
+  /// `options` actually changes the splitter kind or the thread count, so
+  /// sweeping k, weights, tolerances, or the sweep mode stays on the warm
+  /// path.
   DecomposeResult decompose(std::span<const double> w,
                             const DecomposeOptions& options);
 

@@ -17,11 +17,10 @@ namespace mmd {
 
 namespace {
 
-std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind,
-                                          const PrefixSplitterOptions& prefix) {
+std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind) {
   switch (kind) {
     case SplitterKind::Prefix:
-      return std::make_unique<PrefixSplitter>(prefix);
+      return std::make_unique<PrefixSplitter>();
     case SplitterKind::Grid:
       return std::make_unique<GridSplitter>();
     case SplitterKind::Auto:
@@ -31,30 +30,27 @@ std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind,
     // Keep Theorem 19's guarantee *and* the sweeps' practical quality.
     std::vector<std::unique_ptr<ISplitter>> children;
     children.push_back(std::make_unique<GridSplitter>());
-    children.push_back(std::make_unique<PrefixSplitter>(prefix));
+    children.push_back(std::make_unique<PrefixSplitter>());
     return std::make_unique<CompositeSplitter>(std::move(children));
   }
-  return std::make_unique<PrefixSplitter>(prefix);
+  return std::make_unique<PrefixSplitter>();
 }
 
 }  // namespace
 
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  SplitterKind kind) {
-  return build_splitter(g, kind, PrefixSplitterOptions{});
+  return build_splitter(g, kind);
 }
 
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  const DecomposeOptions& options) {
-  PrefixSplitterOptions prefix;
-  prefix.window_scan = options.window_scan;
-  std::unique_ptr<ISplitter> s = build_splitter(g, options.splitter, prefix);
+  std::unique_ptr<ISplitter> s = build_splitter(g, options.splitter);
   // Stamp the sweep policy on the splitter itself, whatever its kind.
-  // (Historically window_scan was forwarded only into
-  // PrefixSplitterOptions, so the grid/composite — and every
+  // (Historically the window rule was forwarded only into the prefix
+  // splitter's options, so the grid/composite — and every
   // coordinate-driven — path silently dropped the request.)
-  s->set_sweep_mode(effective_sweep_mode(options));
-  s->set_adaptive_margin(options.adaptive_margin);
+  s->set_sweep_mode(options.sweep_mode);
   return s;
 }
 
@@ -124,28 +120,6 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     out.escalated = true;
     out.migration_cost = count_migration(*options.prior->coloring, out.coloring);
     return out;
-  }
-
-  if (options.adaptive_best_of_both &&
-      splitter.sweep_mode() == SweepMode::Adaptive) {
-    // Pipeline-level never-worse-than-default: the per-split dual track
-    // bounds each split, but phase interactions (strictify, binpack,
-    // refinement) could still let a cheaper split lead to a costlier
-    // coloring — so race a default-rule arm against the adaptive one and
-    // keep the cheaper strictly balanced result, ties to default (the
-    // InitMethod::Best pattern applied to the sweep policy).  The guard
-    // restores the stamped mode even if an arm throws.
-    struct ModeGuard {
-      ISplitter& s;
-      ~ModeGuard() { s.set_sweep_mode(SweepMode::Adaptive); }
-    } guard{splitter};
-    DecomposeOptions arm = options;
-    arm.adaptive_best_of_both = false;
-    splitter.set_sweep_mode(SweepMode::BetterOfTwo);
-    DecomposeResult def = decompose(g, w, arm, splitter, ws);
-    splitter.set_sweep_mode(SweepMode::Adaptive);
-    DecomposeResult ada = decompose(g, w, arm, splitter, ws);
-    return ada.max_boundary < def.max_boundary ? ada : def;
   }
 
   DecomposeWorkspace local_ws;

@@ -127,32 +127,13 @@ struct DecomposeOptions {
   /// num_threads, ignored by the overloads taking an external ISplitter&
   /// (call ISplitter::set_fork_depth yourself).
   int fork_depth = 0;
-  /// Legacy prefix-choice switch: true requests SweepMode::WindowMin.
-  /// Subsumed by `sweep_mode` (which wins whenever it is non-default); see
-  /// effective_sweep_mode.  Ignored by the overloads taking an external
-  /// ISplitter& (configure the splitter yourself).
-  bool window_scan = false;
   /// Prefix-choice rule stamped onto the splitter for this call (the
   /// contexts re-stamp per call, like fork_depth): the seed's
-  /// better-of-two rule (default, bit-identical to the seed path), the
-  /// paper-faithful WindowMin, or the Adaptive policy — window picks are
-  /// taken only when they beat the default rule by `adaptive_margin`, a
-  /// per-split default track guarantees never-worse-than-default, and
-  /// (with `adaptive_best_of_both`) the pipeline races a default arm
-  /// against the adaptive one and keeps the cheaper coloring.  Ignored by
-  /// the overloads taking an external ISplitter& (stamp the splitter
-  /// yourself via ISplitter::set_sweep_mode).
+  /// better-of-two rule (default, bit-identical to the seed path) or the
+  /// paper-faithful WindowMin.  Ignored by the overloads taking an
+  /// external ISplitter& (stamp the splitter yourself via
+  /// ISplitter::set_sweep_mode).
   SweepMode sweep_mode = SweepMode::BetterOfTwo;
-  /// Relative acceptance margin of SweepMode::Adaptive (see
-  /// kDefaultAdaptiveMargin); other modes ignore it.
-  double adaptive_margin = kDefaultAdaptiveMargin;
-  /// Adaptive only: run the full pipeline once with the default rule and
-  /// once with the adaptive rule and return the cheaper strictly balanced
-  /// coloring (ties to default) — the InitMethod::Best pattern applied to
-  /// the sweep policy, making adaptive mode never worse than default at
-  /// the whole-decomposition level, not just per split.  Costs a second
-  /// solve; disable for latency-sensitive callers.
-  bool adaptive_best_of_both = true;
 
   // Ablation switches (benches E5/E7 study their effect).
   bool balance_boundary = true;  ///< Prop 7 phase 2 (Psi rebalance)
@@ -295,20 +276,12 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  SplitterKind kind);
 
-/// Options-aware variant: stamps the candidate-evaluation policy
-/// (effective_sweep_mode + adaptive_margin) onto the built splitter — all
-/// of them, not just PrefixSplitter, which is how the historical
-/// window_scan drop on the geometric/grid paths was fixed.  The kind-only
-/// overload above keeps the historical defaults.
+/// Options-aware variant: stamps options.sweep_mode onto the built
+/// splitter — every kind, not just PrefixSplitter, which is how the
+/// historical window-rule drop on the geometric/grid paths was fixed.  The
+/// kind-only overload above keeps the default rule.
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  const DecomposeOptions& options);
-
-/// The sweep mode a call with these options actually runs: sweep_mode when
-/// non-default, else the legacy window_scan mapping.
-inline SweepMode effective_sweep_mode(const DecomposeOptions& options) {
-  if (options.sweep_mode != SweepMode::BetterOfTwo) return options.sweep_mode;
-  return options.window_scan ? SweepMode::WindowMin : SweepMode::BetterOfTwo;
-}
 
 /// Default sigma_p used when options.sigma_p <= 0 (see DecomposeOptions).
 double default_sigma_p(const Graph& g, double p);

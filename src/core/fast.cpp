@@ -133,8 +133,7 @@ ISplitter& FastContext::fine_splitter() {
   // Re-stamped per call like fork_depth: all of these are per-call state.
   fine_splitter_->set_exec_control(options_.inner.exec);
   fine_splitter_->set_diagnostics(options_.inner.diagnostics);
-  fine_splitter_->set_sweep_mode(effective_sweep_mode(options_.inner));
-  fine_splitter_->set_adaptive_margin(options_.inner.adaptive_margin);
+  fine_splitter_->set_sweep_mode(options_.inner.sweep_mode);
   return *fine_splitter_;
 }
 

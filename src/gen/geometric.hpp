@@ -34,7 +34,7 @@ Graph make_random_geometric3(int n, double radius, const CostParams& costs = {},
 /// Anisotropic 2-D geometric graph: n points in a [0,1] x [0,1/aspect]
 /// slab (aspect >= 1), joined within `radius`.  The flattened geometry
 /// gives strongly direction-dependent cut costs — the workload where a
-/// single sweep family misjudges and window/adaptive prefix picks matter.
+/// single sweep family misjudges and window prefix picks matter.
 Graph make_aniso_geometric(int n, double radius, double aspect,
                            const CostParams& costs = {},
                            std::uint64_t seed = 19, int max_degree = 12);

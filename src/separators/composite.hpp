@@ -105,9 +105,6 @@ class CompositeSplitter final : public ISplitter {
   void on_sweep_mode_changed(SweepMode mode) override {
     for (const auto& child : children_) child->set_sweep_mode(mode);
   }
-  void on_adaptive_margin_changed(double margin) override {
-    for (const auto& child : children_) child->set_adaptive_margin(margin);
-  }
 
  private:
   std::vector<std::unique_ptr<ISplitter>> children_;

@@ -53,33 +53,22 @@ SplitResult GeometricSplitter::split(const SplitRequest& request) {
   in_w.assign(request.w_list);
 
   std::vector<double> key(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  SplitResult best, best_def;
-  bool have = false, have_def = false;
+  SplitResult best;
+  bool have = false;
   Membership in_u(g.num_vertices());
   const SubsetWeightStats stats =
       subset_weight_stats(request.weights, request.w_list);
   SweepEval sweep;
   const SweepMode mode = sweep_mode();
-  const double margin = adaptive_margin();
 
   auto consider_order = [&](const std::vector<Vertex>& order) {
     // Shared SweepEval evaluation: fused prefix choice + exact cost, with
-    // candidates pruned against the incumbent best (Adaptive evaluates
-    // unpruned — both tracks need exact costs).
+    // candidates pruned against the incumbent best.
     const double bound = have ? best.boundary_cost
                               : std::numeric_limits<double>::infinity();
     const SweepEvalResult r =
         sweep.eval(g, order, request.weights, request.target, stats, in_w,
-                   in_u, mode, bound, margin);
-    if (mode == SweepMode::Adaptive &&
-        (!have_def || r.b2_cost < best_def.boundary_cost)) {
-      best_def.inside.assign(
-          order.begin(),
-          order.begin() + static_cast<std::ptrdiff_t>(r.b2_prefix_len));
-      best_def.weight = r.b2_weight;
-      best_def.boundary_cost = r.b2_cost;
-      have_def = true;
-    }
+                   in_u, mode, bound);
     if (r.pruned) return;
     if (!have || r.cost < best.boundary_cost) {
       best.inside.assign(order.begin(),
@@ -121,22 +110,10 @@ SplitResult GeometricSplitter::split(const SplitRequest& request) {
   }
 
   MMD_ASSERT(have, "geometric splitter produced no candidate");
-  // Adaptive: settle never-worse-than-default after refinement — refine
-  // both tracks when they differ and keep the adaptive pick only on a
-  // strict win (ties to the default track).
-  const bool dual = mode == SweepMode::Adaptive && have_def &&
-                    best_def.inside != best.inside;
-  auto refine = [&](SplitResult& r) {
-    if (options_.refine && !r.inside.empty() &&
-        r.inside.size() < request.w_list.size()) {
-      fm_refine_split(g, request.w_list, request.weights, request.target, r,
-                      FmOptions{}, in_w, in_u, stats);
-    }
-  };
-  refine(best);
-  if (dual) {
-    refine(best_def);
-    if (best_def.boundary_cost <= best.boundary_cost) best = std::move(best_def);
+  if (options_.refine && !best.inside.empty() &&
+      best.inside.size() < request.w_list.size()) {
+    fm_refine_split(g, request.w_list, request.weights, request.target, best,
+                    FmOptions{}, in_w, in_u, stats);
   }
   return best;
 }

@@ -6,8 +6,8 @@
 //
 // The splitter samples random directions (halfspace sweeps) and random
 // sphere centers (radial sweeps), orders the vertices along each, picks a
-// prefix by the stamped SweepMode (better-of-two by default; WindowMin /
-// Adaptive take the cheapest prefix inside the hard ||w||_inf/2 window),
+// prefix by the stamped SweepMode (better-of-two by default; WindowMin
+// takes the cheapest prefix inside the hard ||w||_inf/2 window),
 // keeps the cheapest cut, and optionally FM-refines it.  Deterministic
 // per seed.
 #pragma once
@@ -35,7 +35,7 @@ class GeometricSplitter final : public ISplitter {
 
   /// Every sweep (halfspace and radial) evaluates through SweepEval with
   /// the stamped mode — historically this path hardcoded the better-of-two
-  /// rule and silently dropped window_scan requests.
+  /// rule and silently dropped window-rule requests.
   bool supports_sweep_mode(SweepMode) const override { return true; }
 
   /// Stateless between splits (deterministic per-options seed), so a lane

@@ -34,11 +34,10 @@ class GridSplitRec {
   GridSplitRec(const Graph& g, std::span<const double> weights,
                OrderingCache& cache, OrderingScratch& radix,
                Membership& in_level, GridSplitter::Scratch& s,
-               SweepEval& sweep, Membership& in_u, SweepMode mode,
-               double margin)
+               SweepEval& sweep, Membership& in_u, SweepMode mode)
       : g_(g), weights_(weights), cache_(cache), radix_(radix),
         in_level_(in_level), s_(s), sweep_(sweep), in_u_(in_u), mode_(mode),
-        margin_(margin), dim_(g.dim()) {}
+        dim_(g.dim()) {}
 
   int depth = 0;
 
@@ -276,7 +275,7 @@ class GridSplitRec {
  private:
   /// l == 1: lexicographic vertex order, prefix chosen by the stamped
   /// sweep mode — better-of-two presummed (the seed path, bit-identical),
-  /// or a full SweepEval scan for WindowMin/Adaptive (any window prefix of
+  /// or a full SweepEval scan for WindowMin (any window prefix of
   /// the lexicographic order is monotone by Lemma 22, so the cheaper pick
   /// keeps the structural guarantee).  The level's total weight is already
   /// on hand from run()'s fused pass.
@@ -301,7 +300,7 @@ class GridSplitRec {
       stats.max = std::max(stats.max, weights_[static_cast<std::size_t>(v)]);
     const SweepEvalResult r =
         sweep_.eval(g_, order, weights_, target, stats, in_level_, in_u_,
-                    mode_, std::numeric_limits<double>::infinity(), margin_);
+                    mode_);
     order.resize(r.prefix_len);
     return order;
   }
@@ -315,7 +314,6 @@ class GridSplitRec {
   SweepEval& sweep_;
   Membership& in_u_;
   SweepMode mode_;
-  double margin_;
   int dim_;
 };
 
@@ -347,7 +345,7 @@ SplitResult GridSplitter::split(const SplitRequest& request) {
   std::vector<Vertex> top(request.w_list.begin(), request.w_list.end());
   in_level_.assign(top);
   GridSplitRec rec(g, request.weights, *cache_, radix_, in_level_, scratch_,
-                   sweep_, in_u_, sweep_mode(), adaptive_margin());
+                   sweep_, in_u_, sweep_mode());
   std::vector<Vertex> inside =
       rec.run(std::move(top), request.target, scale, 0.0);
   last_depth_ = rec.depth;

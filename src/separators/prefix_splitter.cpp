@@ -24,7 +24,6 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   const SubsetWeightStats stats =
       subset_weight_stats(request.weights, request.w_list);
   const SweepMode mode = sweep_mode();
-  const double margin = adaptive_margin();
 
   // The candidate family — BFS, then the cached coordinate sweeps, then
   // Morton — is fixed up front so the serial loop and the parallel path
@@ -44,16 +43,9 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   const int candidates =
       (options_.use_bfs ? 1 : 0) + num_sweeps + (morton ? 1 : 0);
 
-  // Adaptive mode carries a second, better-of-two reduction over the same
-  // candidates (the b2_* track every evaluation reports exactly): the
-  // default rule's winner, kept alongside the adaptive one so the final
-  // pick can never be worse than what default mode would have returned on
-  // this split.
-  SplitResult best, best_def;
-  bool have_def = false;
+  SplitResult best;
   if (thread_pool() != nullptr && candidates >= 2) {
-    best = split_parallel(request, stats, num_sweeps, morton, &best_def,
-                          &have_def);
+    best = split_parallel(request, stats, num_sweeps, morton);
   } else {
     bool have_best = false;
     auto consider = [&](std::span<const Vertex> order) {
@@ -61,22 +53,11 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
       // One fused scan per candidate; once an incumbent exists, a
       // candidate whose partial cost already reaches it is abandoned
       // (it could never win the strictly-cheaper comparison below).
-      // Adaptive evaluations ignore the bound — both tracks need exact
-      // costs for every candidate.
       const double bound = have_best ? best.boundary_cost
                                      : std::numeric_limits<double>::infinity();
       const SweepEvalResult r =
           sweep_.eval(g, order, request.weights, request.target, stats, in_w_,
-                      in_u_, mode, bound, margin);
-      if (mode == SweepMode::Adaptive &&
-          (!have_def || r.b2_cost < best_def.boundary_cost)) {
-        best_def.inside.assign(
-            order.begin(),
-            order.begin() + static_cast<std::ptrdiff_t>(r.b2_prefix_len));
-        best_def.weight = r.b2_weight;
-        best_def.boundary_cost = r.b2_cost;
-        have_def = true;
-      }
+                      in_u_, mode, bound);
       if (r.pruned) return;
       if (!have_best || r.cost < best.boundary_cost) {
         best.inside.assign(order.begin(),
@@ -106,37 +87,21 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
     }
   }
 
-  // Adaptive's never-worse guarantee is settled after refinement: when the
-  // two tracks picked different sets, refine both and keep the adaptive
-  // one only on a strict win (ties go to the default track, so a split
-  // where the window pick gains nothing is bit-identical to default mode).
-  const bool dual = mode == SweepMode::Adaptive && have_def &&
-                    best_def.inside != best.inside;
-  auto refine = [&](SplitResult& r) {
-    if (options_.refine && !r.inside.empty() &&
-        r.inside.size() < request.w_list.size()) {
-      FmOptions fm;
-      fm.max_passes = options_.fm_max_passes;
-      fm_refine_split(g, request.w_list, request.weights, request.target, r,
-                      fm, in_w_, in_u_, stats);
-    }
-  };
-  refine(best);
-  if (dual) {
-    refine(best_def);
-    if (best_def.boundary_cost <= best.boundary_cost) best = std::move(best_def);
+  if (options_.refine && !best.inside.empty() &&
+      best.inside.size() < request.w_list.size()) {
+    FmOptions fm;
+    fm.max_passes = options_.fm_max_passes;
+    fm_refine_split(g, request.w_list, request.weights, request.target, best,
+                    fm, in_w_, in_u_, stats);
   }
   return best;
 }
 
 SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
                                            const SubsetWeightStats& stats,
-                                           int num_sweeps, bool morton,
-                                           SplitResult* best_def,
-                                           bool* have_def) {
+                                           int num_sweeps, bool morton) {
   const Graph& g = *request.g;
   const SweepMode mode = sweep_mode();
-  const double margin = adaptive_margin();
   const int bfs = options_.use_bfs ? 1 : 0;
   const int count = bfs + num_sweeps + (morton ? 1 : 0);
   while (slots_.size() < static_cast<std::size_t>(count))
@@ -161,8 +126,7 @@ SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
     }
     slot.in_u.ensure(g.num_vertices());
     slot.res = slot.sweep.eval(g, slot.order, request.weights, request.target,
-                               stats, in_w_, slot.in_u, mode,
-                               std::numeric_limits<double>::infinity(), margin);
+                               stats, in_w_, slot.in_u, mode);
   });
 
   // Serial reduction in candidate-index order: the first slot of strictly
@@ -180,23 +144,6 @@ SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
       winner.order.begin() + static_cast<std::ptrdiff_t>(winner.res.prefix_len));
   best.weight = winner.res.weight;
   best.boundary_cost = winner.res.cost;
-
-  if (mode == SweepMode::Adaptive) {
-    // Same reduction over the better-of-two track (b2 costs are exact in
-    // Adaptive mode), mirroring the serial loop's default-track incumbent.
-    int def_idx = 0;
-    for (int i = 1; i < count; ++i)
-      if (slots_[static_cast<std::size_t>(i)]->res.b2_cost <
-          slots_[static_cast<std::size_t>(def_idx)]->res.b2_cost)
-        def_idx = i;
-    const EvalSlot& def = *slots_[static_cast<std::size_t>(def_idx)];
-    best_def->inside.assign(
-        def.order.begin(),
-        def.order.begin() + static_cast<std::ptrdiff_t>(def.res.b2_prefix_len));
-    best_def->weight = def.res.b2_weight;
-    best_def->boundary_cost = def.res.b2_cost;
-    *have_def = true;
-  }
   return best;
 }
 

@@ -11,10 +11,8 @@
 // boundary cost — runs on the shared SweepEval engine (sweep_eval.hpp):
 // one fused scan per order, with dominated candidates pruned against the
 // incumbent best.  The prefix-choice rule is the splitter's stamped
-// SweepMode: the seed's better-of-two crossing (default), the cheapest
-// prefix anywhere inside the hard weight window (WindowMin), or the
-// Adaptive policy that additionally reduces a default track per split and
-// only keeps a window pick when it still wins after refinement.
+// SweepMode: the seed's better-of-two crossing (default) or the cheapest
+// prefix anywhere inside the hard weight window (WindowMin).
 #pragma once
 
 #include <memory>
@@ -33,24 +31,17 @@ struct PrefixSplitterOptions {
   int max_sweeps = 0;
   bool refine = true;                 ///< FM local refinement pass
   int fm_max_passes = 3;
-  /// Legacy prefix-choice switch: true maps to SweepMode::WindowMin at
-  /// construction.  The live rule is ISplitter::sweep_mode() — runtime
-  /// state stamped by the contexts — and a later set_sweep_mode overrides
-  /// this initial mapping.
-  bool window_scan = false;
 };
 
 class PrefixSplitter final : public ISplitter {
  public:
   explicit PrefixSplitter(PrefixSplitterOptions options = {})
-      : options_(options), cache_(std::make_shared<OrderingCache>()) {
-    if (options_.window_scan) set_sweep_mode(SweepMode::WindowMin);
-  }
+      : options_(options), cache_(std::make_shared<OrderingCache>()) {}
 
   SplitResult split(const SplitRequest& request) override;
   std::string name() const override { return "prefix"; }
 
-  /// Every candidate evaluation routes through SweepEval, so all three
+  /// Every candidate evaluation routes through SweepEval, so both
   /// prefix-choice rules are honored.
   bool supports_sweep_mode(SweepMode) const override { return true; }
 
@@ -67,13 +58,10 @@ class PrefixSplitter final : public ISplitter {
 
  private:
   /// Lane constructor: adopt an existing shared cache.  (The base-class
-  /// lane() stamp immediately overwrites the window_scan mapping with the
-  /// parent's live mode.)
+  /// lane() stamp then copies the parent's live sweep mode.)
   PrefixSplitter(const PrefixSplitterOptions& options,
                  std::shared_ptr<OrderingCache> cache)
-      : options_(options), cache_(std::move(cache)) {
-    if (options_.window_scan) set_sweep_mode(SweepMode::WindowMin);
-  }
+      : options_(options), cache_(std::move(cache)) {}
 
   // One candidate order's private evaluation state (parallel path only).
   // unique_ptr keeps slot addresses stable while the vector grows.
@@ -93,15 +81,10 @@ class PrefixSplitter final : public ISplitter {
   /// the first candidate of strictly minimal boundary cost.  (The serial
   /// loop additionally prunes candidates against the incumbent best; a
   /// pruned candidate's exact cost is provably >= the incumbent, so the
-  /// reduction picks the same winner either way.  Adaptive mode evaluates
-  /// every candidate unpruned, making the two paths trivially identical.)
-  /// In Adaptive mode `best_def` receives the better-of-two track's winner
-  /// (reduced over the same candidates by b2 cost) for the caller's
-  /// never-worse-than-default comparison; untouched otherwise.
+  /// reduction picks the same winner either way.)
   SplitResult split_parallel(const SplitRequest& request,
                              const SubsetWeightStats& stats, int num_sweeps,
-                             bool morton, SplitResult* best_def,
-                             bool* have_def);
+                             bool morton);
 
   PrefixSplitterOptions options_;
   // Per-instance scratch (ISplitter contract: splitters may keep scratch).

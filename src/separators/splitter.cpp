@@ -18,7 +18,6 @@ ISplitter* ISplitter::lane(int i) {
     lane->set_exec_control(exec_);
     lane->set_diagnostics(diag_);
     lane->set_sweep_mode(sweep_mode_);
-    lane->set_adaptive_margin(adaptive_margin_);
     lanes_.push_back(std::move(lane));
   }
   return lanes_[static_cast<std::size_t>(i)].get();
@@ -43,7 +42,7 @@ void ISplitter::set_sweep_mode(SweepMode mode) {
   // A splitter that cannot honor the requested rule keeps evaluating with
   // the seed rule — correct (every mode yields the hard weight window) but
   // not what the caller asked for, so say so once per instance instead of
-  // silently dropping the request (the historical window_scan bug on the
+  // silently dropping the request (the historical window-rule drop on the
   // geometric/grid paths).  The latch is only set when a sink actually
   // heard the report, so a later stamp with diagnostics attached still
   // fires.
@@ -56,14 +55,6 @@ void ISplitter::set_sweep_mode(SweepMode mode) {
   }
   for (const auto& lane : lanes_) lane->set_sweep_mode(mode);
   on_sweep_mode_changed(mode);
-}
-
-void ISplitter::set_adaptive_margin(double margin) {
-  MMD_REQUIRE(margin >= 0.0 && margin < 1.0,
-              "adaptive margin must lie in [0, 1)");
-  adaptive_margin_ = margin;
-  for (const auto& lane : lanes_) lane->set_adaptive_margin(margin);
-  on_adaptive_margin_changed(margin);
 }
 
 bool ISplitter::ensure_lanes(int count) {

@@ -142,14 +142,20 @@ class ISplitter {
   /// children) honors one setting without options plumbing.  Stamping a
   /// non-default mode onto a splitter whose supports_sweep_mode rejects it
   /// reports a one-time SweepModeUnsupported diagnostic instead of
-  /// silently evaluating with the seed rule (the historical window_scan
+  /// silently evaluating with the seed rule (the historical window-rule
   /// drop on geometric paths).
   void set_sweep_mode(SweepMode mode);
   SweepMode sweep_mode() const { return sweep_mode_; }
 
-  /// Relative acceptance margin of SweepMode::Adaptive; ignored by the
-  /// other modes.  Propagated and re-stamped exactly like the mode.
-  void set_adaptive_margin(double margin);
+  /// Vestigial: a stored value (default 0) that no library splitter reads;
+  /// the sweep policy it tuned is gone.  set_adaptive_margin records the
+  /// value and calls on_adaptive_margin_changed; nothing validates it or
+  /// propagates it to lanes.  Kept only so subclasses that forward it keep
+  /// compiling; slated for removal.
+  void set_adaptive_margin(double margin) {
+    adaptive_margin_ = margin;
+    on_adaptive_margin_changed(margin);
+  }
   double adaptive_margin() const { return adaptive_margin_; }
 
   /// Whether split() actually honors `mode`.  The default claims only the
@@ -172,6 +178,7 @@ class ISplitter {
     (void)diag;
   }
   virtual void on_sweep_mode_changed(SweepMode mode) { (void)mode; }
+  /// Vestigial companion of set_adaptive_margin (see there).
   virtual void on_adaptive_margin_changed(double margin) { (void)margin; }
 
   /// Call at the top of every split() implementation: the deterministic
@@ -189,7 +196,7 @@ class ISplitter {
   ExecControl exec_;
   DecomposeDiagnostics* diag_ = nullptr;
   SweepMode sweep_mode_ = SweepMode::BetterOfTwo;
-  double adaptive_margin_ = kDefaultAdaptiveMargin;
+  double adaptive_margin_ = 0.0;
   std::vector<std::unique_ptr<ISplitter>> lanes_;
   bool lanes_unsupported_ = false;
   bool lane_fallback_reported_ = false;

@@ -105,16 +105,9 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
                                 std::span<const double> weights, double target,
                                 const SubsetWeightStats& stats,
                                 const Membership& in_w, Membership& in_u,
-                                SweepMode mode, double prune_bound,
-                                double margin) {
+                                SweepMode mode, double prune_bound) {
   const double t = std::clamp(target, 0.0, stats.total);
   SweepEvalResult out;
-  // Adaptive needs the exact b2 cost of every candidate for its margin
-  // rule (and for the caller's default-track reduction), so the caller's
-  // incumbent bound must not truncate it — serial and parallel candidate
-  // paths then see identical, unpruned evaluations.
-  if (mode == SweepMode::Adaptive)
-    prune_bound = std::numeric_limits<double>::infinity();
 
   // --- locate the candidate prefixes -----------------------------------
   // The weight accumulation below is the exact arithmetic sequence of
@@ -198,22 +191,13 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
   out.weight = b2_weight;
   out.cost = b2_cost;
   out.pruned = b2_pruned;
-  out.b2_prefix_len = b2;
-  out.b2_weight = b2_weight;
-  out.b2_cost = b2_cost;
-  out.b2_pruned = b2_pruned;
 
-  if (mode != SweepMode::BetterOfTwo && win <= order.size() && win != b2) {
-    // WindowMin: the window argmin must beat the (possibly pruned)
-    // better-of-two prefix strictly — ties keep the seed's choice — and
-    // the incumbent bound still applies.  Adaptive: it must beat the
-    // (always exact) better-of-two cost by the relative margin, which the
-    // shrunken bound below enforces — an unpruned win evaluation is
-    // provably strictly below (1 - margin) * b2_cost.
+  if (mode == SweepMode::WindowMin && win <= order.size() && win != b2) {
+    // The window argmin must beat the (possibly pruned) better-of-two
+    // prefix strictly — ties keep the seed's choice — and the incumbent
+    // bound still applies.
     const double bound =
-        mode == SweepMode::Adaptive
-            ? (1.0 - margin) * b2_cost
-            : (b2_pruned ? prune_bound : std::min(prune_bound, b2_cost));
+        b2_pruned ? prune_bound : std::min(prune_bound, b2_cost);
     assign_prefix(in_u, order, win);
     bool win_pruned = false;
     const double win_cost = exact_prefix_cost(g, order.first(win), in_u, in_w,
@@ -223,7 +207,6 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
       out.weight = win_weight;
       out.cost = win_cost;
       out.pruned = false;
-      out.window_taken = true;
     } else if (!b2_pruned) {
       assign_prefix(in_u, order, b2);  // restore in_u = reported prefix
     }

@@ -24,7 +24,7 @@
 //     monotone non-decreasing partial sums allow abandoning a dominated
 //     candidate the moment its partial cost reaches the bound.
 //
-// Three prefix-choice rules are offered (SweepMode):
+// Two prefix-choice rules are offered (SweepMode):
 //   * BetterOfTwo — the crossing prefix rounded to the nearer side of the
 //     target, exactly the seed's rule (Definition 3's hard window follows
 //     from ||w||_inf/2-closeness of one of the two crossing prefixes);
@@ -32,18 +32,7 @@
 //     *anywhere* inside the hard weight window |w(P_i) - w*| <= ||w|W||_inf/2,
 //     located by the incremental scan and never worse than BetterOfTwo
 //     (both candidates are re-costed exactly and the cheaper one wins,
-//     ties to BetterOfTwo);
-//   * Adaptive — the quality policy that earns default-on: the same
-//     incremental scan, but the window argmin only displaces the
-//     better-of-two prefix when its exact cost beats it by a relative
-//     margin (win < (1 - margin) * b2), so a marginal window pick never
-//     trades away the seed rule's behavior for noise.  Both tracks are
-//     always reported exactly (the b2_* fields), letting callers run a
-//     default-track reduction alongside the adaptive one and guarantee
-//     never-worse-than-default per split.  Adaptive evaluations ignore
-//     the caller's prune bound: the margin rule needs the exact b2 cost
-//     of *every* candidate, and the unpruned evaluation is what keeps the
-//     serial and parallel candidate paths bit-identical.
+//     ties to BetterOfTwo).
 #pragma once
 
 #include <limits>
@@ -72,16 +61,7 @@ SubsetWeightStats subset_weight_stats(std::span<const double> weights,
 enum class SweepMode {
   BetterOfTwo,  ///< seed rule: crossing prefix, nearer side of the target
   WindowMin,    ///< cheapest prefix inside the hard weight window
-  Adaptive,     ///< window argmin only when it beats better-of-two by a
-                ///< relative margin; dual-track (b2_*) result fields filled
 };
-
-/// Relative margin of SweepMode::Adaptive: the window argmin displaces the
-/// better-of-two prefix only when win_cost < (1 - margin) * b2_cost.  2%
-/// won the E13 corpus sweep (docs/BENCHMARKS.md): small enough to capture
-/// the window rule's genuine wins on weighted meshes, large enough that
-/// near-ties keep the default pick's structure for the recursion below.
-inline constexpr double kDefaultAdaptiveMargin = 0.02;
 
 /// Outcome of evaluating one candidate ordering.
 struct SweepEvalResult {
@@ -89,16 +69,6 @@ struct SweepEvalResult {
   double weight = 0.0;         ///< w(prefix), running-sum arithmetic
   double cost = 0.0;           ///< exact d_W(prefix); meaningless if pruned
   bool pruned = false;         ///< cost reached prune_bound; candidate loses
-  /// The better-of-two track, always filled: in BetterOfTwo mode it equals
-  /// the primary fields above; in WindowMin/Adaptive it is the seed rule's
-  /// choice for the same order, so callers can reduce a default track next
-  /// to the window-informed one.  In Adaptive mode the b2 cost is always
-  /// exact (never pruned — see the file comment).
-  std::size_t b2_prefix_len = 0;
-  double b2_weight = 0.0;
-  double b2_cost = 0.0;
-  bool b2_pruned = false;
-  bool window_taken = false;  ///< the window argmin displaced the b2 prefix
 };
 
 /// The engine.  Holds only growable scratch (the per-prefix running-cost
@@ -123,16 +93,13 @@ class SweepEval {
   ///                    its reported cost is unaffected by the bound —
   ///                    so pruning with the incumbent best cost is
   ///                    invisible to a strictly-cheaper-wins reduction.
-  ///                    Ignored in Adaptive mode (see file comment).
-  /// \param margin      Adaptive acceptance margin; other modes ignore it.
   SweepEvalResult eval(const Graph& g, std::span<const Vertex> order,
                        std::span<const double> weights, double target,
                        const SubsetWeightStats& stats, const Membership& in_w,
                        Membership& in_u, SweepMode mode,
-                       double prune_bound = std::numeric_limits<double>::infinity(),
-                       double margin = kDefaultAdaptiveMargin);
+                       double prune_bound = std::numeric_limits<double>::infinity());
 
-  /// Running cost at every prefix scanned by the last WindowMin/Adaptive eval:
+  /// Running cost at every prefix scanned by the last WindowMin eval:
   /// entry i is the incrementally maintained d_W(P_i) for i = 0..scanned
   /// (the scan stops once the prefix weight leaves the window for good).
   /// Exposed for tests and diagnostics; BetterOfTwo evals do not fill it.

@@ -260,6 +260,21 @@ double get_number(const Object& o, const std::string& key, double def,
   return it->second.number;
 }
 
+long long get_integer(const Object& o, const std::string& key, long long def,
+                      long long lo, long long hi, std::string& error) {
+  // Absent or mistyped keys yield `def` itself, which passes both checks.
+  const double v = get_number(o, key, static_cast<double>(def), error);
+  if (v != std::trunc(v)) {
+    if (error.empty()) error = "field '" + key + "' must be an integer";
+    return def;
+  }
+  if (v < static_cast<double>(lo) || v > static_cast<double>(hi)) {
+    if (error.empty()) error = "field '" + key + "' is out of range";
+    return def;
+  }
+  return static_cast<long long>(v);
+}
+
 bool get_bool(const Object& o, const std::string& key, bool def,
               std::string& error) {
   auto it = o.find(key);

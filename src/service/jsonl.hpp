@@ -62,6 +62,12 @@ std::string get_string(const Object& o, const std::string& key,
                        const std::string& def, std::string& error);
 double get_number(const Object& o, const std::string& key, double def,
                   std::string& error);
+/// Integral number in [lo, hi]: a fractional or out-of-range value is an
+/// error, never truncated or cast (casting an out-of-range double to an
+/// integer is undefined behavior).  `def` must lie in [lo, hi], and the
+/// bounds within +-2^53, where every integer is exact in a double.
+long long get_integer(const Object& o, const std::string& key, long long def,
+                      long long lo, long long hi, std::string& error);
 bool get_bool(const Object& o, const std::string& key, bool def,
               std::string& error);
 /// True when `key` is present (any type).

@@ -221,9 +221,9 @@ void PartitionService::execute_one(GraphState* gs, Pending& p) {
     DecomposeOptions opt = req.options;
     opt.diagnostics = &diag_;
     if (req.timeout_ms >= 0) {
-      opt.exec.deadline = std::min(
-          opt.exec.deadline,
-          ExecControl::Clock::now() + std::chrono::milliseconds(req.timeout_ms));
+      opt.exec.deadline =
+          std::min(opt.exec.deadline,
+                   ExecControl::with_timeout_ms(req.timeout_ms).deadline);
     }
 
     if (req.mode == RequestMode::Decompose) {

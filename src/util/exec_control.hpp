@@ -33,6 +33,7 @@
 // context would (the fault-injection fuzz harness pins exactly that).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -96,14 +97,28 @@ struct ExecControl {
   const CancelToken* cancel = nullptr;
 
   /// Deadline `timeout` from now; non-positive timeouts produce an
-  /// already-expired deadline (the first checkpoint throws).
+  /// already-expired deadline (the first checkpoint throws).  A timeout
+  /// reaching past the end of the clock's range saturates to no deadline
+  /// instead of overflowing into the past.
   static ExecControl with_timeout(std::chrono::nanoseconds timeout) {
     ExecControl ec;
-    ec.deadline = Clock::now() + timeout;
+    const Clock::time_point now = Clock::now();
+    if (timeout <= Clock::duration::zero())
+      ec.deadline = now;
+    else if (timeout < Clock::time_point::max() - now)
+      ec.deadline = now + timeout;
     return ec;
   }
+  /// Same in milliseconds.  Above ~9.2e12 ms (~292 years) the conversion
+  /// to the clock's int64 nanoseconds would overflow, so such timeouts
+  /// saturate to no deadline before converting.
   static ExecControl with_timeout_ms(long ms) {
-    return with_timeout(std::chrono::milliseconds(ms));
+    using std::chrono::milliseconds;
+    constexpr long kMaxMs = std::chrono::duration_cast<milliseconds>(
+                                std::chrono::nanoseconds::max())
+                                .count();
+    if (ms > kMaxMs) return ExecControl{};
+    return with_timeout(milliseconds(std::max(ms, 0L)));
   }
 
   /// True when no deadline and no token are set (the default).

@@ -220,8 +220,8 @@ case "$mem_out" in
 esac
 
 # 16. --sweep-mode: the explicit default spelling is byte-identical to the
-#     flagless run; window and adaptive run clean; a bogus value is bad
-#     usage.  (--window-scan stays the legacy alias for window.)
+#     flagless run; window runs clean; a removed or bogus value is bad
+#     usage, and so is the removed --window-scan flag.
 "$bin" -k 3 --quiet --sweep-mode default -o "$tmp/sm_def.part" "$good"
 check "--sweep-mode default" 0 $?
 cmp -s "$tmp/out.part" "$tmp/sm_def.part" || {
@@ -230,35 +230,70 @@ cmp -s "$tmp/out.part" "$tmp/sm_def.part" || {
 }
 "$bin" -k 3 --quiet --sweep-mode window -o "$tmp/sm_win.part" "$good"
 check "--sweep-mode window" 0 $?
-"$bin" -k 3 --quiet --sweep-mode adaptive -o "$tmp/sm_ada.part" "$good"
-check "--sweep-mode adaptive" 0 $?
-[ -s "$tmp/sm_ada.part" ] || { echo "FAIL: no adaptive partition written" >&2; fails=$((fails + 1)); }
+[ -s "$tmp/sm_win.part" ] || { echo "FAIL: no window partition written" >&2; fails=$((fails + 1)); }
+"$bin" -k 3 --quiet --sweep-mode adaptive "$good" 2> /dev/null
+check "--sweep-mode adaptive (removed)" 2 $?
 "$bin" -k 3 --quiet --sweep-mode sideways "$good" 2> /dev/null
 check "--sweep-mode bogus value" 2 $?
+"$bin" -k 3 --quiet --window-scan "$good" 2> /dev/null
+check "--window-scan (removed)" 2 $?
 
-# 17. --serve honors the sweep_mode request field: valid values answer ok,
-#     an unknown value is an in-band bad_request and the session survives.
+# 17. --serve request fields: valid sweep_mode values answer ok; removed
+#     or unknown values, the removed window_scan field, and non-integral
+#     or out-of-range integer fields are in-band bad_requests (never
+#     silently ignored or truncated); a timeout past the clock's range
+#     means no deadline.  The session survives all of it.
 sm_out="$tmp/serve_sm.out"
 {
   echo '{"op":"load","graph":"g","path":"'"$good"'"}'
   echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"adaptive"}'
   echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"sideways"}'
   echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"window"}'
+  echo '{"op":"decompose","graph":"g","k":3,"window_scan":true}'
+  echo '{"op":"decompose","graph":"g","k":3.7}'
+  echo '{"op":"decompose","graph":"g","k":1e20}'
+  echo '{"op":"decompose","graph":"g","k":3,"threads":2.5}'
+  echo '{"op":"decompose","graph":"g","k":3,"mode":"fast","seed":-1}'
+  echo '{"op":"decompose","graph":"g","k":3,"timeout_ms":10000000000000}'
+  echo '{"op":"decompose","graph":"g","k":3.0}'
 } | "$bin" --serve > "$sm_out"
-check "--serve sweep_mode session, EOF exit" 0 $?
+check "--serve request-field session, EOF exit" 0 $?
 sm_line() { sed -n "${1}p" "$sm_out"; }
-case "$(sm_line 2)" in
-  *'"status":"ok"'*) echo "ok: serve sweep_mode adaptive" ;;
-  *) echo "FAIL: serve sweep_mode adaptive: $(sm_line 2)" >&2; fails=$((fails + 1)) ;;
-esac
-case "$(sm_line 3)" in
-  *'"status":"bad_request"'*) echo "ok: serve sweep_mode bogus rejected in-band" ;;
-  *) echo "FAIL: serve sweep_mode bogus: $(sm_line 3)" >&2; fails=$((fails + 1)) ;;
-esac
-case "$(sm_line 4)" in
-  *'"status":"ok"'*) echo "ok: serve sweep_mode window (session survived)" ;;
-  *) echo "FAIL: serve sweep_mode window: $(sm_line 4)" >&2; fails=$((fails + 1)) ;;
-esac
+expect_sm() {  # expect_sm <name> <line-no> <needle>
+  case "$(sm_line "$2")" in
+    *"$3"*) echo "ok: serve $1" ;;
+    *) echo "FAIL: serve $1: line $2 lacks '$3': $(sm_line "$2")" >&2
+       fails=$((fails + 1)) ;;
+  esac
+}
+expect_sm "sweep_mode adaptive (removed) rejected" 2 '"status":"bad_request"'
+expect_sm "sweep_mode bogus rejected" 3 '"status":"bad_request"'
+expect_sm "sweep_mode window" 4 '"status":"ok"'
+expect_sm "window_scan (removed) rejected" 5 '"status":"bad_request"'
+expect_sm "window_scan error names sweep_mode" 5 'sweep_mode'
+expect_sm "k 3.7 rejected" 6 '"status":"bad_request"'
+expect_sm "k 1e20 rejected" 7 '"status":"bad_request"'
+expect_sm "threads 2.5 rejected" 8 '"status":"bad_request"'
+expect_sm "negative seed rejected" 9 '"status":"bad_request"'
+expect_sm "huge timeout means no deadline" 10 '"status":"ok"'
+expect_sm "integral k 3.0 accepted" 11 '"status":"ok"'
+
+# 17b. Numeric flags are parsed strictly: trailing garbage is bad usage,
+#      never a silently adopted numeric prefix; a timeout past the clock's
+#      range means no deadline (exit 0, not a wrapped-around expiry).
+for args in "-k 3x" "-k 3 --threads 2x" "-k 3 -p 2.5abc" "-k 3 --fork-depth 1x" \
+            "-k 3 --timeout-ms 5x" "-k 99999999999"; do
+  # shellcheck disable=SC2086
+  "$bin" $args --quiet "$good" 2> /dev/null
+  check "strict flag: $args" 2 $?
+done
+for args in "--workers 2x" "--queue 3x" "--budget-kb 1x"; do
+  # shellcheck disable=SC2086
+  "$bin" --serve $args < /dev/null > /dev/null 2>&1
+  check "strict serve flag: $args" 2 $?
+done
+"$bin" -k 3 --quiet --timeout-ms 9000000000000000 "$good"
+check "--timeout-ms past the clock's range" 0 $?
 
 # 18. trace_replay strict argument parsing: malformed numeric flags are
 #     bad usage (exit 2) and never silently run with a default value —

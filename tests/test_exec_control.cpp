@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <thread>
 #include <vector>
 
@@ -57,8 +58,12 @@ TEST_F(ExecControlUnit, ExpiredTimeoutThrowsDeadlineExceeded) {
   const ExecControl ec = ExecControl::with_timeout_ms(0);
   EXPECT_FALSE(ec.unlimited());
   EXPECT_THROW(ec.check(), DeadlineExceeded);
-  const ExecControl generous = ExecControl::with_timeout_ms(60'000);
-  EXPECT_NO_THROW(generous.check());
+  // LONG_MAX ms overflows the clock's nanoseconds if converted naively;
+  // it must saturate to no deadline, not wrap into the past.
+  for (const long ms : {60'000L, LONG_MAX}) {
+    const ExecControl generous = ExecControl::with_timeout_ms(ms);
+    EXPECT_NO_THROW(generous.check()) << ms;
+  }
 }
 
 TEST_F(ExecControlUnit, CancelTokenFiresAndResets) {

@@ -67,6 +67,33 @@ TEST(JsonlFuzz, HugeAndNonFiniteNumericsAreRejected) {
   EXPECT_GT(o["y"].number, 0.0);
 }
 
+TEST(JsonlFuzz, IntegerAccessorRejectsFractionsAndOutOfRange) {
+  // Integer fields are never truncated or cast out of range: 3.7 used to
+  // serve as k = 3, and 1e20 is an undefined float-to-int conversion.
+  Object o;
+  std::string error;
+  ASSERT_TRUE(parse_object(
+      R"({"a":3,"b":3.0,"c":-2,"d":3.7,"e":1e20,"f":"3","g":-1e20})", o,
+      error))
+      << error;
+  auto get = [&](const char* key) {
+    error.clear();
+    return get_integer(o, key, 7, -100, 100, error);
+  };
+  EXPECT_EQ(get("a"), 3);
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(get("b"), 3);  // integral spelled as a double
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(get("c"), -2);
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(get("absent"), 7);
+  EXPECT_TRUE(error.empty());
+  for (const char* bad : {"d", "e", "f", "g"}) {
+    EXPECT_EQ(get(bad), 7) << bad;
+    EXPECT_NE(error.find(bad), std::string::npos) << bad << ": " << error;
+  }
+}
+
 TEST(JsonlFuzz, EmbeddedNulBytes) {
   // A raw NUL byte is a control character: rejected, not truncated-at.
   std::string raw = R"({"a":"x)";

@@ -79,20 +79,18 @@ class PrefixSplitAlloc : public ::testing::Test {
 };
 
 TEST_F(PrefixSplitAlloc, SerialSteadyStateIsFlat) {
-  for (const bool window : {false, true}) {
-    PrefixSplitterOptions opts;
-    opts.window_scan = window;
-    PrefixSplitter splitter(opts);
+  for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+    PrefixSplitter splitter;
+    splitter.set_sweep_mode(mode);
     expect_flat_split_allocations(splitter, req_);
   }
 }
 
 TEST_F(PrefixSplitAlloc, ParallelSteadyStateIsFlat) {
-  for (const bool window : {false, true}) {
+  for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
     ThreadPool pool(2);
-    PrefixSplitterOptions opts;
-    opts.window_scan = window;
-    PrefixSplitter splitter(opts);
+    PrefixSplitter splitter;
+    splitter.set_sweep_mode(mode);
     splitter.set_thread_pool(&pool);
     expect_flat_split_allocations(splitter, req_);
   }

@@ -15,9 +15,7 @@
 #include "gen/basic.hpp"
 #include "gen/geometric.hpp"
 #include "gen/grid.hpp"
-#include "gen/mesh.hpp"
 #include "graph/subgraph.hpp"
-#include "separators/geometric_splitter.hpp"
 #include "separators/orderings.hpp"
 #include "separators/prefix_splitter.hpp"
 #include "separators/sweep_eval.hpp"
@@ -232,9 +230,8 @@ TEST(SweepEval, WindowScanNeverCostlierPerSplit) {
         PrefixSplitterOptions base;
         base.refine = false;  // isolate the prefix choice
         PrefixSplitter def(base);
-        PrefixSplitterOptions wopts = base;
-        wopts.window_scan = true;
-        PrefixSplitter win(wopts);
+        PrefixSplitter win(base);
+        win.set_sweep_mode(SweepMode::WindowMin);
 
         const SplitResult a = def.split(req);
         const SplitResult b = win.split(req);
@@ -256,13 +253,13 @@ TEST(SweepEval, WindowScanParallelMatchesSerial) {
     req.weights = w;
     req.target = set_measure(std::span<const double>(w), vs) * 0.5;
 
-    PrefixSplitterOptions opts;
-    opts.window_scan = true;
-    PrefixSplitter serial(opts);
+    PrefixSplitter serial;
+    serial.set_sweep_mode(SweepMode::WindowMin);
     const SplitResult ref = serial.split(req);
     for (const int threads : {2, 8}) {
       ThreadPool pool(threads);
-      PrefixSplitter par(opts);
+      PrefixSplitter par;
+      par.set_sweep_mode(SweepMode::WindowMin);
       par.set_thread_pool(&pool);
       const SplitResult res = par.split(req);
       EXPECT_EQ(res.inside, ref.inside) << inst.name << " t=" << threads;
@@ -338,7 +335,7 @@ TEST(SweepEval, WindowScanRunningCostsMatchRecomputeAtEveryPrefix) {
 }
 
 TEST(SweepEval, WindowScanPipelineStaysStrictlyBalanced) {
-  // Full Theorem 4 pipeline with window_scan: the wide window of
+  // Full Theorem 4 pipeline with the window rule: the wide window of
   // heavy-tailed weights admits degenerate (empty / full) in-window
   // prefixes, so this exercises termination of the recursive phases and
   // the strict-balance postcondition end to end.
@@ -348,7 +345,7 @@ TEST(SweepEval, WindowScanPipelineStaysStrictlyBalanced) {
     for (const int k : {2, 5, 8}) {
       DecomposeOptions opt;
       opt.k = k;
-      opt.window_scan = true;
+      opt.sweep_mode = SweepMode::WindowMin;
       const DecomposeResult res = decompose(g, w, opt);
       testing::expect_total_coloring(g, res.coloring);
       EXPECT_TRUE(res.balance.strictly_balanced) << inst.name << " k=" << k;
@@ -356,155 +353,10 @@ TEST(SweepEval, WindowScanPipelineStaysStrictlyBalanced) {
   }
 }
 
-// ---- SweepMode::Adaptive (PR 10) -------------------------------------------
-
-TEST(SweepEval, AdaptiveEvalTakesWindowOnlyPastTheMargin) {
-  // cheap_late_cut_path: the crossing cut costs 10, the in-window cut one
-  // step later costs 1.  A 5% margin (bound 9.5) accepts the window pick;
-  // a 95% margin (bound 0.5) rejects it and keeps the crossing prefix.
-  const Graph g = cheap_late_cut_path();
-  std::vector<double> w(10, 1.0);
-  w[0] = 2.0;  // wmax = 2 -> hard window = 1
-  std::vector<Vertex> order(10);
-  for (Vertex v = 0; v < 10; ++v) order[static_cast<std::size_t>(v)] = v;
-  Membership in_w(10), in_u(10);
-  in_w.assign(order);
-  const SubsetWeightStats stats = subset_weight_stats(w, order);
-  const double target = 4.5;
-  const double inf = std::numeric_limits<double>::infinity();
-
-  SweepEval sweep;
-  const SweepEvalResult take = sweep.eval(g, order, w, target, stats, in_w,
-                                          in_u, SweepMode::Adaptive, inf, 0.05);
-  EXPECT_TRUE(take.window_taken);
-  EXPECT_EQ(take.prefix_len, 4u);
-  EXPECT_DOUBLE_EQ(take.cost, 1.0);
-  // The default track is always reported alongside the pick.
-  EXPECT_EQ(take.b2_prefix_len, 3u);
-  EXPECT_DOUBLE_EQ(take.b2_cost, 10.0);
-  EXPECT_FALSE(take.b2_pruned);
-
-  const SweepEvalResult keep = sweep.eval(g, order, w, target, stats, in_w,
-                                          in_u, SweepMode::Adaptive, inf, 0.95);
-  EXPECT_FALSE(keep.window_taken);
-  EXPECT_EQ(keep.prefix_len, 3u);
-  EXPECT_DOUBLE_EQ(keep.cost, 10.0);
-  // in_u represents the returned prefix on either outcome.
-  for (Vertex v = 0; v < 10; ++v)
-    EXPECT_EQ(in_u.contains(v), v < 3) << v;
-}
-
-TEST(SweepEval, AdaptiveEvalDefaultTrackMatchesBetterOfTwoBitwise) {
-  // The b2_* track of an Adaptive eval is the BetterOfTwo result, bitwise
-  // — the invariant the splitters' never-worse dual tracking rests on.
-  // Adaptive also ignores the caller's prune bound (both tracks must stay
-  // exact for the comparison to mean anything).
-  for (const Instance& inst : instances()) {
-    const Graph& g = inst.graph;
-    const auto vs = all_vertices(g);
-    Membership in_w(g.num_vertices()), in_u(g.num_vertices());
-    in_w.assign(vs);
-    for (const WeightModel model : testing::weight_models()) {
-      const auto w = testing::weights_for(g, model, 5);
-      const SubsetWeightStats stats = subset_weight_stats(w, vs);
-      for (const double frac : {0.2, 0.5, 0.8}) {
-        const double target = frac * stats.total;
-        SweepEval sweep;
-        const SweepEvalResult def = sweep.eval(g, vs, w, target, stats, in_w,
-                                               in_u, SweepMode::BetterOfTwo);
-        const SweepEvalResult ada =
-            sweep.eval(g, vs, w, target, stats, in_w, in_u,
-                       SweepMode::Adaptive, def.cost / 4.0);
-        ASSERT_FALSE(ada.pruned) << inst.name;
-        EXPECT_EQ(ada.b2_prefix_len, def.prefix_len) << inst.name;
-        EXPECT_EQ(ada.b2_weight, def.weight) << inst.name;
-        EXPECT_EQ(ada.b2_cost, def.cost) << inst.name;
-        EXPECT_LE(ada.cost, def.cost) << inst.name;
-        if (!ada.window_taken) {
-          EXPECT_EQ(ada.prefix_len, def.prefix_len) << inst.name;
-          EXPECT_EQ(ada.cost, def.cost) << inst.name;
-        }
-      }
-    }
-  }
-}
-
-TEST(SweepEval, AdaptiveSplitNeverWorseThanDefaultPerSplit) {
-  // Never-worse pin at the splitter level, with and without FM: the
-  // adaptive dual track refines both picks and keeps the cheaper, so
-  // PrefixSplitter and GeometricSplitter must never return a costlier
-  // split than their default-mode selves on the identical request.
-  std::vector<Instance> insts = instances();
-  insts.push_back({"tri-mesh", make_tri_mesh(20, 20)});
-  for (const Instance& inst : insts) {
-    const Graph& g = inst.graph;
-    const auto vs = all_vertices(g);
-    for (const WeightModel model : testing::weight_models()) {
-      const auto w = testing::weights_for(g, model, 13);
-      for (const double frac : {0.33, 0.5}) {
-        SplitRequest req;
-        req.g = &g;
-        req.w_list = vs;
-        req.weights = w;
-        req.target = set_measure(std::span<const double>(w), vs) * frac;
-
-        for (const bool refine : {false, true}) {
-          PrefixSplitterOptions opts;
-          opts.refine = refine;
-          PrefixSplitter def(opts);
-          PrefixSplitter ada(opts);
-          ada.set_sweep_mode(SweepMode::Adaptive);
-          const SplitResult a = def.split(req);
-          const SplitResult b = ada.split(req);
-          EXPECT_LE(b.boundary_cost, a.boundary_cost)
-              << inst.name << " refine=" << refine;
-          EXPECT_NO_THROW(check_split_contract(req, b)) << inst.name;
-        }
-        if (g.has_coords()) {
-          GeometricSplitter def;
-          GeometricSplitter ada;
-          ada.set_sweep_mode(SweepMode::Adaptive);
-          const SplitResult a = def.split(req);
-          const SplitResult b = ada.split(req);
-          EXPECT_LE(b.boundary_cost, a.boundary_cost) << inst.name;
-          EXPECT_NO_THROW(check_split_contract(req, b)) << inst.name;
-        }
-      }
-    }
-  }
-}
-
-TEST(SweepEval, AdaptiveDecomposeNeverWorseAcrossWorkloads) {
-  // End-to-end never-worse pin across the E13 workload matrix in
-  // miniature: grid, triangulated mesh, anisotropic slab, 3-D geometric —
-  // each under every weight model.
-  std::vector<Instance> insts;
-  insts.push_back({"grid2d", make_grid_cube(2, 10)});
-  insts.push_back({"tri-mesh", make_tri_mesh(14, 14)});
-  insts.push_back({"aniso", make_aniso_geometric(360, 0.07, 4.0)});
-  insts.push_back({"geo3", make_random_geometric3(320, 0.2)});
-  for (const Instance& inst : insts) {
-    const Graph& g = inst.graph;
-    for (const WeightModel model : testing::weight_models()) {
-      const auto w = testing::weights_for(g, model, 9);
-      for (const int k : {2, 6}) {
-        DecomposeOptions opt;
-        opt.k = k;
-        const DecomposeResult def = decompose(g, w, opt);
-        opt.sweep_mode = SweepMode::Adaptive;
-        const DecomposeResult ada = decompose(g, w, opt);
-        testing::expect_total_coloring(g, ada.coloring);
-        EXPECT_TRUE(ada.balance.strictly_balanced) << inst.name << " k=" << k;
-        EXPECT_LE(ada.max_boundary, def.max_boundary)
-            << inst.name << " k=" << k;
-      }
-    }
-  }
-}
-
-TEST(SweepEval, AdaptiveDecomposeBitIdenticalAcrossThreadsAndForkDepth) {
-  // The adaptive policy inherits the splitter determinism contract:
-  // thread counts and fork depths are scheduling knobs only.
+TEST(SweepEval, WindowMinDecomposeBitIdenticalAcrossThreadsAndForkDepth) {
+  // The decompose-level threads x fork-depth pin for the non-default rule:
+  // WindowMin inherits the splitter determinism contract, so thread counts
+  // and fork depths are scheduling knobs only.
   std::vector<Instance> insts;
   insts.push_back({"grid2d", make_grid_cube(2, 10)});
   insts.push_back({"geometric", make_random_geometric(260, 0.11)});
@@ -513,7 +365,7 @@ TEST(SweepEval, AdaptiveDecomposeBitIdenticalAcrossThreadsAndForkDepth) {
     const auto w = testing::weights_for(g, WeightModel::Zipf, 7);
     DecomposeOptions opt;
     opt.k = 6;
-    opt.sweep_mode = SweepMode::Adaptive;
+    opt.sweep_mode = SweepMode::WindowMin;
     DecomposeContext ref_ctx(g, opt);
     const DecomposeResult ref = ref_ctx.decompose(w);
     for (const int threads : {2, 8}) {
@@ -551,9 +403,9 @@ TEST(SweepEval, UnsupportedSweepModeReportsDiagnosticOnce) {
   EXPECT_FALSE(s.supports_sweep_mode(SweepMode::WindowMin));
   s.set_sweep_mode(SweepMode::WindowMin);
   EXPECT_EQ(diag.sweep_mode_fallbacks.load(), 1);
-  s.set_sweep_mode(SweepMode::Adaptive);  // latched: reported once per instance
+  s.set_sweep_mode(SweepMode::WindowMin);  // latched: reported once per instance
   EXPECT_EQ(diag.sweep_mode_fallbacks.load(), 1);
-  EXPECT_EQ(s.sweep_mode(), SweepMode::Adaptive);  // mode still recorded
+  EXPECT_EQ(s.sweep_mode(), SweepMode::WindowMin);  // mode still recorded
   // The seed rule itself never triggers the event.
   DecomposeDiagnostics diag2;
   ModelessSplitter s2;
@@ -563,26 +415,23 @@ TEST(SweepEval, UnsupportedSweepModeReportsDiagnosticOnce) {
 }
 
 TEST(SweepEval, RequestedModeReachesEverySweepConsumer) {
-  // The fixed path: stamping window / adaptive onto the default splitter
+  // The fixed path: stamping the window rule onto the default splitter
   // stack of a coordinate-bearing instance raises zero fallback events —
   // the geometric sweep (historically the silent drop) honors the mode.
   const Graph g = make_random_geometric(220, 0.12);
   ASSERT_TRUE(g.has_coords());
-  for (const SweepMode mode : {SweepMode::WindowMin, SweepMode::Adaptive}) {
-    DecomposeOptions opt;
-    opt.sweep_mode = mode;
-    const auto splitter = make_default_splitter(g, opt);
-    EXPECT_TRUE(splitter->supports_sweep_mode(mode));
-    DecomposeDiagnostics diag;
-    splitter->set_diagnostics(&diag);
-    splitter->set_sweep_mode(mode);  // re-stamp with the sink attached
-    const auto w = testing::weights_for(g, WeightModel::Uniform, 3);
-    DecomposeOptions run = opt;
-    run.k = 4;
-    const DecomposeResult res = decompose(g, w, run, *splitter);
-    testing::expect_total_coloring(g, res.coloring);
-    EXPECT_EQ(diag.sweep_mode_fallbacks.load(), 0);
-  }
+  DecomposeOptions opt;
+  opt.sweep_mode = SweepMode::WindowMin;
+  const auto splitter = make_default_splitter(g, opt);
+  EXPECT_TRUE(splitter->supports_sweep_mode(SweepMode::WindowMin));
+  DecomposeDiagnostics diag;
+  splitter->set_diagnostics(&diag);
+  splitter->set_sweep_mode(SweepMode::WindowMin);  // re-stamp with the sink
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 3);
+  opt.k = 4;
+  const DecomposeResult res = decompose(g, w, opt, *splitter);
+  testing::expect_total_coloring(g, res.coloring);
+  EXPECT_EQ(diag.sweep_mode_fallbacks.load(), 0);
 }
 
 TEST(SweepEval, PresummedBestPrefixMatchesSelfSummed) {

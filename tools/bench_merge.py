@@ -12,7 +12,7 @@ For refine rows the seed reference is its "sweep" engine.  For quality
 suites (E13) the reference is the "default" sweep-mode row — the seed's
 better-of-two rule run on the identical instance — taken from the current
 side when the seed binary predates the suite, so "default" rows always
-merge to max_boundary_vs_seed = 0 and "window"/"adaptive"/"orb" rows
+merge to max_boundary_vs_seed = 0 and "window"/"orb" rows
 report their quality delta against it.
 """
 import json

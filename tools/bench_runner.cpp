@@ -12,7 +12,7 @@
 //     "eval-incremental" (PR 4: the SweepEval engine in its default
 //     better-of-two mode — the same rows as ctx-warm, named so the
 //     candidate-evaluation rework is directly attributable), and
-//     "eval-window" (PR 4: window_scan mode, cheapest prefix inside the
+//     "eval-window" (SweepMode::WindowMin, cheapest prefix inside the
 //     hard weight window — max_boundary_vs_seed <= 0 expected everywhere).
 //     Besides the unit-weight n/k sweeps, a few heavy-tailed weighted
 //     grids (w-sweep-h*) exercise the wide-window regime where the
@@ -40,8 +40,8 @@
 // (not runtime) rows across the workload matrix where the prefix rule
 // matters — triangulated meshes, the weighted climate instance, heavy-
 // tailed meshes, anisotropic and 3-D geometric graphs, and a METIS-file
-// round trip — in modes "default" / "window" / "adaptive" (SweepMode)
-// plus an "orb" baseline column (orthogonal recursive coordinate
+// round trip — in modes "default" / "window" (SweepMode) plus an "orb"
+// baseline column (orthogonal recursive coordinate
 // bisection, the classical mesh-library default).
 //
 // Usage: bench_runner [output.json] [--label name]
@@ -92,19 +92,20 @@ struct HasEngine : std::false_type {};
 template <typename T>
 struct HasEngine<T, std::void_t<decltype(T::engine)>> : std::true_type {};
 
-// Detect DecomposeOptions::window_scan (PR 4's SweepEval modes) so one
+// Detect DecomposeOptions::sweep_mode (the SweepEval prefix rules) so one
 // runner source still compiles against older trees.
 template <typename T, typename = void>
-struct HasWindowScan : std::false_type {};
+struct HasSweepMode : std::false_type {};
 template <typename T>
-struct HasWindowScan<T, std::void_t<decltype(T::window_scan)>> : std::true_type {};
+struct HasSweepMode<T, std::void_t<decltype(T::sweep_mode)>> : std::true_type {};
 
 template <typename Opt>
-auto set_window_scan(Opt& o, bool on, int) -> decltype((void)o.window_scan) {
-  o.window_scan = on;
+auto set_window_rule(Opt& o, bool on, int) -> decltype((void)o.sweep_mode) {
+  o.sweep_mode = on ? decltype(o.sweep_mode)::WindowMin
+                    : decltype(o.sweep_mode)::BetterOfTwo;
 }
 template <typename Opt>
-void set_window_scan(Opt&, bool, long) {}
+void set_window_rule(Opt&, bool, long) {}
 
 // Set the refinement engine when the library has one (overload ranking:
 // the int overload wins when `o.engine` is well-formed).
@@ -149,7 +150,7 @@ int reps_for(int side) { return side >= 256 ? 7 : 9; }
 /// Deterministic heavy-tailed vertex weights (LCG; ~1/8 of the vertices
 /// carry weight `heavy`, the rest 1.0).  Inline so the seed binary and
 /// the current binary bench the exact same instance: a wide hard window
-/// (||w||_inf/2 = heavy/2) is where the window_scan prefix rule has room
+/// (||w||_inf/2 = heavy/2) is where the window prefix rule has room
 /// to act, unlike the unit-weight sweeps whose window admits at most the
 /// two crossing prefixes.
 std::vector<double> heavy_weights(int n, double heavy, std::uint64_t seed) {
@@ -229,13 +230,13 @@ void bench_decompose(const char* config, int side, int k, double heavy = 0.0) {
     push_row(row);
   }
 
-  // PR 4's SweepEval modes on the warm context path: the default
+  // The SweepEval prefix rules on the warm context path: the default
   // better-of-two rule (must merge to max_boundary_vs_seed = 0) and the
-  // window_scan rule (cheapest in-window prefix; <= 0 everywhere).
-  if constexpr (HasWindowScan<DecomposeOptions>::value) {
+  // window rule (cheapest in-window prefix; <= 0 everywhere).
+  if constexpr (HasSweepMode<DecomposeOptions>::value) {
     for (const bool window : {false, true}) {
       DecomposeOptions copt = opt;
-      set_window_scan(copt, window, 0);
+      set_window_rule(copt, window, 0);
       Row row{"decompose_grid2d", config,
               side,              g.num_vertices(),
               k,                 window ? "eval-window" : "eval-incremental",
@@ -466,10 +467,7 @@ void bench_e12(bool smoke) {
 //     max_boundary_vs_seed must be exactly 0.
 //   * "window"   — SweepMode::WindowMin (PR 4): cheapest in-window prefix.
 //     Strong on wide windows (heavy-tailed weights), can regress when the
-//     window is narrow — the behavior that motivated the adaptive policy.
-//   * "adaptive" — SweepMode::Adaptive (PR 10): takes the window pick only
-//     when it beats the crossing prefix by the margin; with the best-of-
-//     both race it is never worse than "default" on any instance.
+//     window is narrow.
 //   * "orb"      — orthogonal recursive coordinate bisection, the classical
 //     mesh-partitioner baseline column (requires coordinates, so the METIS
 //     round-trip row — which drops them — has no orb line).
@@ -481,8 +479,7 @@ void bench_e13_instance(const char* config, const Graph& g,
     SweepMode mode;
   };
   constexpr ModeSpec kModes[] = {{"default", SweepMode::BetterOfTwo},
-                                 {"window", SweepMode::WindowMin},
-                                 {"adaptive", SweepMode::Adaptive}};
+                                 {"window", SweepMode::WindowMin}};
   for (const ModeSpec& m : kModes) {
     DecomposeOptions opt;
     opt.k = k;
@@ -512,7 +509,7 @@ void bench_e13(bool smoke) {
   const int reps = smoke ? 1 : 2;
 
   // Unit-weight triangulated mesh: the narrow-window regime (window admits
-  // at most the crossing prefixes), so adaptive must cost nothing here.
+  // at most the crossing prefixes).
   {
     const int side = smoke ? 48 : 96;
     const Graph g = make_tri_mesh(side, side);

@@ -7,6 +7,8 @@
 //   -o <path>          write the partition (one color per line)
 //   --fast             multilevel fast mode (large graphs)
 //   --splitter <name>  auto | prefix | grid     (default auto)
+//   --sweep-mode <m>   default | window: the prefix rule of every sweep
+//                      (better-of-two crossing, or cheapest in-window)
 //   --threads <n>      thread-pool lanes (1 = serial; bit-identical)
 //   --fork-depth <d>   multi_split lane-tree depth (0 = from --threads)
 //   --timeout-ms <ms>  deadline for the decomposition (DeadlineExceeded
@@ -46,9 +48,15 @@
 // stats, evict, shutdown.  The repartition op carries weight deltas in a
 // "deltas" string field ("v:w v:w ...", absolute new weights) and answers
 // with migration_cost/incremental/escalated alongside the usual quality
-// fields.  Request errors — malformed JSON included — are answered
-// in-band ({"ok":false,...}) and never kill the session; the process
-// exits 0 on stdin EOF or a shutdown op (2 only for bad --serve usage).
+// fields.  Request errors — malformed JSON, non-integral or out-of-range
+// integer fields, removed fields included — are answered in-band
+// ({"ok":false,...}) and never kill the session; the process exits 0 on
+// stdin EOF or a shutdown op (2 only for bad --serve usage).
+//
+// Every numeric flag is parsed strictly (io/strict_parse.hpp): trailing
+// garbage or overflow is bad usage (exit 2), never a silently adopted
+// numeric prefix.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,6 +64,7 @@
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <type_traits>
 
 #include "service/jsonl.hpp"
 #include "service/partition_service.hpp"
@@ -69,6 +78,7 @@
 #include "graph/coloring.hpp"
 #include "io/metis_io.hpp"
 #include "io/ppm.hpp"
+#include "io/strict_parse.hpp"
 #include "separators/prefix_splitter.hpp"
 #include "util/rss.hpp"
 #include "util/table.hpp"
@@ -79,7 +89,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s -k <parts> [-p <norm>] [-o <out>] [--fast]\n"
                "       [--splitter auto|prefix|grid] [--init best|paper|bisection]\n"
-               "       [--window-scan] [--sweep-mode default|window|adaptive]\n"
+               "       [--sweep-mode default|window]\n"
                "       [--threads <n>] [--fork-depth <d>]\n"
                "       [--timeout-ms <ms>] [--image <ppm>]\n"
                "       [--repartition <deltas-file>]\n"
@@ -91,14 +101,34 @@ namespace {
   std::exit(2);
 }
 
+/// A numeric flag value, parsed strictly; malformed means usage + exit 2.
+template <typename T>
+T numeric_arg(const char* argv0, const char* flag, const char* tok) {
+  try {
+    if constexpr (std::is_same_v<T, int>) return mmd::parse_i32(tok, 0, flag);
+    else if constexpr (std::is_same_v<T, long>)
+      return static_cast<long>(mmd::parse_ll(tok, 0, flag));
+    else return mmd::parse_finite_double(tok, 0, flag);
+  } catch (const mmd::ParseError&) {
+    std::fprintf(stderr, "error: malformed %s '%s'\n", flag, tok);
+    usage(argv0);
+  }
+}
+
 // One decompose/fast request assembled from a parsed JSONL object.
 // Returns false (with `error` set) on a malformed field; unknown keys are
-// ignored (forward compatibility).
+// ignored (forward compatibility), removed ones are rejected.
 bool request_from_json(const mmd::jsonl::Object& obj, mmd::ServiceRequest& req,
                        bool& include_partition, std::string& error) {
   using mmd::jsonl::get_bool;
+  using mmd::jsonl::get_integer;
   using mmd::jsonl::get_number;
   using mmd::jsonl::get_string;
+  auto get_int = [&](const char* key, int def) {
+    return static_cast<int>(get_integer(obj, key, def, INT_MIN, INT_MAX, error));
+  };
+  // JSON integers are exact up to 2^53; wider fields are capped there.
+  constexpr long long kExact = 1LL << 53;
 
   req.graph = get_string(obj, "graph", "", error);
   if (req.graph.empty() && error.empty()) error = "field 'graph' is required";
@@ -121,22 +151,22 @@ bool request_from_json(const mmd::jsonl::Object& obj, mmd::ServiceRequest& req,
       req.deltas.push_back({static_cast<mmd::Vertex>(v), weight});
   }
 
-  req.options.k = static_cast<int>(get_number(obj, "k", 0, error));
+  req.options.k = get_int("k", 0);
   if (req.options.k < 1 && error.empty()) error = "field 'k' must be >= 1";
   req.options.p = get_number(obj, "p", 2.0, error);
-  req.options.num_threads =
-      static_cast<int>(get_number(obj, "threads", 1, error));
-  req.options.fork_depth =
-      static_cast<int>(get_number(obj, "fork_depth", 0, error));
-  req.options.window_scan = get_bool(obj, "window_scan", false, error);
+  req.options.num_threads = get_int("threads", 1);
+  req.options.fork_depth = get_int("fork_depth", 0);
+  // The removed window_scan switch is rejected, not ignored: a silently
+  // dropped sweep-policy request is the bug sweep_mode exists to prevent.
+  if (mmd::jsonl::has(obj, "window_scan") && error.empty())
+    error = "field 'window_scan' was removed; use \"sweep_mode\":\"window\"";
   const std::string sweep = get_string(obj, "sweep_mode", "default", error);
   if (sweep == "default") req.options.sweep_mode = mmd::SweepMode::BetterOfTwo;
   else if (sweep == "window") req.options.sweep_mode = mmd::SweepMode::WindowMin;
-  else if (sweep == "adaptive") req.options.sweep_mode = mmd::SweepMode::Adaptive;
   else if (error.empty())
-    error = "field 'sweep_mode' must be \"default\", \"window\", or "
-            "\"adaptive\"";
-  req.timeout_ms = static_cast<long>(get_number(obj, "timeout_ms", -1, error));
+    error = "field 'sweep_mode' must be \"default\" or \"window\"";
+  req.timeout_ms = static_cast<long>(
+      get_integer(obj, "timeout_ms", -1, -kExact, kExact, error));
 
   const std::string splitter = get_string(obj, "splitter", "auto", error);
   if (splitter == "auto") req.options.splitter = mmd::SplitterKind::Auto;
@@ -152,14 +182,11 @@ bool request_from_json(const mmd::jsonl::Object& obj, mmd::ServiceRequest& req,
   else if (init == "best") req.options.init = mmd::InitMethod::Best;
   else if (error.empty()) error = "unknown init '" + init + "'";
 
-  req.fast_coarse_target =
-      static_cast<int>(get_number(obj, "coarse_target", 4096, error));
-  req.fast_max_levels =
-      static_cast<int>(get_number(obj, "max_levels", 24, error));
-  req.fast_refine_passes =
-      static_cast<int>(get_number(obj, "refine_passes", 4, error));
-  req.fast_seed =
-      static_cast<std::uint64_t>(get_number(obj, "seed", 0xfa57, error));
+  req.fast_coarse_target = get_int("coarse_target", 4096);
+  req.fast_max_levels = get_int("max_levels", 24);
+  req.fast_refine_passes = get_int("refine_passes", 4);
+  req.fast_seed = static_cast<std::uint64_t>(
+      get_integer(obj, "seed", 0xfa57, 0, kExact, error));
 
   include_partition = get_bool(obj, "include_partition", false, error);
   return error.empty();
@@ -175,6 +202,62 @@ void emit_error(const char* op, const std::string& message,
                 const char* status = "bad_request") {
   mmd::jsonl::Writer w;
   w.add("ok", false).add("op", op).add("status", status).add("error", message);
+  emit(w);
+}
+
+/// The decompose and repartition ops: parse, execute, answer.  The two
+/// differ only in the mode the repartition op implies and in the fields
+/// after "strict" (degraded, or the chain's migration fields).
+void solve_op(mmd::PartitionService& service, const mmd::jsonl::Object& obj,
+              bool repartition) {
+  using namespace mmd;
+  const char* op = repartition ? "repartition" : "decompose";
+  ServiceRequest req;
+  bool include_partition = false;
+  std::string error;
+  if (!request_from_json(obj, req, include_partition, error)) {
+    emit_error(op, error);
+    return;
+  }
+  if (repartition) req.mode = RequestMode::Repartition;  // the op implies it
+  const ServiceResponse resp = service.execute(req);
+  jsonl::Writer w;
+  w.add("ok", resp.ok())
+      .add("op", op)
+      .add("graph", req.graph)
+      .add("status", to_string(resp.status));
+  if (!resp.ok()) {
+    w.add("error", resp.error);
+    emit(w);
+    return;
+  }
+  // Deterministic payload only (no timings): two responses for the same
+  // request must be byte-identical, warm or cold — the smoke test pins
+  // that after stripping the "warm" field.  A repartition chain's state is
+  // a function of the request sequence, so identical sessions answer
+  // byte-identically too.
+  w.add("k", static_cast<long>(resp.coloring.k))
+      .add("max_boundary", resp.max_boundary)
+      .add("avg_boundary", resp.avg_boundary)
+      .add("max_dev", resp.balance.max_dev)
+      .add("strict", resp.balance.strictly_balanced);
+  if (repartition) {
+    w.add("migration_cost", resp.migration_cost)
+        .add("incremental", resp.incremental)
+        .add("escalated", resp.escalated);
+  } else {
+    w.add("degraded", resp.degraded);
+  }
+  w.add("warm", resp.warm);
+  if (include_partition) {
+    std::string part;
+    part.reserve(resp.coloring.color.size() * 2);
+    for (std::size_t v = 0; v < resp.coloring.color.size(); ++v) {
+      if (v > 0) part.push_back(' ');
+      part.append(std::to_string(resp.coloring.color[v]));
+    }
+    w.add("partition", part);
+  }
   emit(w);
 }
 
@@ -210,83 +293,8 @@ int serve_main(const mmd::PartitionServiceOptions& service_options) {
       jsonl::Writer w;
       w.add("ok", true).add("op", "load").add("graph", graph);
       emit(w);
-    } else if (op == "decompose") {
-      ServiceRequest req;
-      bool include_partition = false;
-      if (!request_from_json(obj, req, include_partition, error)) {
-        emit_error("decompose", error);
-        continue;
-      }
-      const ServiceResponse resp = service.execute(req);
-      jsonl::Writer w;
-      w.add("ok", resp.ok())
-          .add("op", "decompose")
-          .add("graph", req.graph)
-          .add("status", to_string(resp.status));
-      if (resp.ok()) {
-        // Deterministic payload only (no timings): two responses for the
-        // same request must be byte-identical, warm or cold — the smoke
-        // test pins that after stripping the "warm" field.
-        w.add("k", static_cast<long>(resp.coloring.k))
-            .add("max_boundary", resp.max_boundary)
-            .add("avg_boundary", resp.avg_boundary)
-            .add("max_dev", resp.balance.max_dev)
-            .add("strict", resp.balance.strictly_balanced)
-            .add("degraded", resp.degraded)
-            .add("warm", resp.warm);
-        if (include_partition) {
-          std::string part;
-          part.reserve(resp.coloring.color.size() * 2);
-          for (std::size_t v = 0; v < resp.coloring.color.size(); ++v) {
-            if (v > 0) part.push_back(' ');
-            part.append(std::to_string(resp.coloring.color[v]));
-          }
-          w.add("partition", part);
-        }
-      } else {
-        w.add("error", resp.error);
-      }
-      emit(w);
-    } else if (op == "repartition") {
-      ServiceRequest req;
-      bool include_partition = false;
-      if (!request_from_json(obj, req, include_partition, error)) {
-        emit_error("repartition", error);
-        continue;
-      }
-      req.mode = RequestMode::Repartition;  // the op implies the mode
-      const ServiceResponse resp = service.execute(req);
-      jsonl::Writer w;
-      w.add("ok", resp.ok())
-          .add("op", "repartition")
-          .add("graph", req.graph)
-          .add("status", to_string(resp.status));
-      if (resp.ok()) {
-        // Deterministic payload only, like the decompose op: the chain's
-        // state is a function of the request sequence, so two identical
-        // sessions answer byte-identically.
-        w.add("k", static_cast<long>(resp.coloring.k))
-            .add("max_boundary", resp.max_boundary)
-            .add("avg_boundary", resp.avg_boundary)
-            .add("max_dev", resp.balance.max_dev)
-            .add("strict", resp.balance.strictly_balanced)
-            .add("migration_cost", resp.migration_cost)
-            .add("incremental", resp.incremental)
-            .add("escalated", resp.escalated)
-            .add("warm", resp.warm);
-        if (include_partition) {
-          std::string part;
-          part.reserve(resp.coloring.color.size() * 2);
-          for (std::size_t v = 0; v < resp.coloring.color.size(); ++v) {
-            if (v > 0) part.push_back(' ');
-            part.append(std::to_string(resp.coloring.color[v]));
-          }
-          w.add("partition", part);
-        }
-      } else {
-        w.add("error", resp.error);
-      }
-      emit(w);
+    } else if (op == "decompose" || op == "repartition") {
+      solve_op(service, obj, op == "repartition");
     } else if (op == "stats") {
       const ServiceStats s = service.stats();
       jsonl::Writer w;
@@ -351,15 +359,15 @@ int main(int argc, char** argv) {
       };
       if (arg == "--serve") continue;
       else if (arg == "--budget-kb") {
-        const long kb = std::atol(next());
+        const long kb = numeric_arg<long>(argv[0], "--budget-kb", next());
         if (kb < 0) usage(argv[0]);
         so.context_budget_bytes = static_cast<std::size_t>(kb) << 10;
       } else if (arg == "--queue") {
-        const int q = std::atoi(next());
+        const int q = numeric_arg<int>(argv[0], "--queue", next());
         if (q < 1) usage(argv[0]);
         so.queue_capacity = static_cast<std::size_t>(q);
       } else if (arg == "--workers") {
-        so.num_workers = std::atoi(next());
+        so.num_workers = numeric_arg<int>(argv[0], "--workers", next());
         if (so.num_workers < 1) usage(argv[0]);
       } else {
         usage(argv[0]);
@@ -372,7 +380,6 @@ int main(int argc, char** argv) {
   std::string input, output, image, repartition_file;
   bool fast = false, compare = false, quiet = false, verify = false;
   bool mem_stats = false;
-  bool window_scan = false;
   SweepMode sweep_mode = SweepMode::BetterOfTwo;
   int threads = 1;
   int fork_depth = 0;  // 0 = derive the lane-tree depth from the pool
@@ -387,9 +394,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "-k") {
-      k = std::atoi(next());
+      k = numeric_arg<int>(argv[0], "-k", next());
     } else if (arg == "-p") {
-      p = std::atof(next());
+      p = numeric_arg<double>(argv[0], "-p", next());
     } else if (arg == "-o") {
       output = next();
     } else if (arg == "--image") {
@@ -406,22 +413,19 @@ int main(int argc, char** argv) {
       mem_stats = true;  // graph/workspace/context byte breakdown on stdout
     } else if (arg == "--repartition") {
       repartition_file = next();
-    } else if (arg == "--window-scan") {
-      window_scan = true;  // legacy alias for --sweep-mode window
     } else if (arg == "--sweep-mode") {
       const std::string name = next();
       if (name == "default") sweep_mode = SweepMode::BetterOfTwo;
       else if (name == "window") sweep_mode = SweepMode::WindowMin;
-      else if (name == "adaptive") sweep_mode = SweepMode::Adaptive;
       else usage(argv[0]);
     } else if (arg == "--threads") {
-      threads = std::atoi(next());
+      threads = numeric_arg<int>(argv[0], "--threads", next());
       if (threads < 1) usage(argv[0]);
     } else if (arg == "--fork-depth") {
-      fork_depth = std::atoi(next());
+      fork_depth = numeric_arg<int>(argv[0], "--fork-depth", next());
       if (fork_depth < 0) usage(argv[0]);
     } else if (arg == "--timeout-ms") {
-      timeout_ms = std::atol(next());
+      timeout_ms = numeric_arg<long>(argv[0], "--timeout-ms", next());
       if (timeout_ms < 0) usage(argv[0]);
     } else if (arg == "--splitter") {
       const std::string name = next();
@@ -477,7 +481,6 @@ int main(int argc, char** argv) {
       opt.inner.p = p;
       opt.inner.splitter = splitter;
       opt.inner.init = init;
-      opt.inner.window_scan = window_scan;
       opt.inner.sweep_mode = sweep_mode;
       opt.inner.num_threads = threads;
       opt.inner.fork_depth = fork_depth;
@@ -507,7 +510,6 @@ int main(int argc, char** argv) {
       opt.p = p;
       opt.splitter = splitter;
       opt.init = init;
-      opt.window_scan = window_scan;
       opt.sweep_mode = sweep_mode;
       opt.num_threads = threads;
       opt.fork_depth = fork_depth;
