@@ -4,12 +4,89 @@
 
 namespace mmd {
 
+void OwnedPool::rebuild(int num_threads, DecomposeDiagnostics* diag,
+                        int& builds, int& failures) {
+  pool_.reset();
+  threads_ = num_threads;
+  if (num_threads <= 1) return;
+  try {
+    pool_ = std::make_unique<ThreadPool>(num_threads);
+    ++builds;
+  } catch (...) {
+    ++failures;
+    diag_report(diag, DiagEvent::PoolConstructFailed,
+                "ThreadPool construction failed (thread or memory "
+                "exhaustion); degraded to the serial path");
+  }
+}
+
+void RepartitionChain::set_weights(std::span<const double> w) {
+  MMD_REQUIRE(static_cast<Vertex>(w.size()) == n_, "weight arity mismatch");
+  for (const double x : w)
+    MMD_REQUIRE(std::isfinite(x) && x >= 0.0,
+                "weights must be finite and non-negative");
+  if (prior_valid_) {
+    // A rebind is one big delta batch: the changed vertices join the
+    // pending dirty set.  Both allocating steps have no effect when they
+    // throw, so a failed rebind leaves the old binding intact.
+    std::vector<Vertex> changed;
+    for (std::size_t v = 0; v < w.size(); ++v)
+      if (w[v] != weights_[v]) changed.push_back(static_cast<Vertex>(v));
+    dirty_.insert(dirty_.end(), changed.begin(), changed.end());
+  }
+  weights_.assign(w.begin(), w.end());  // no alloc once bound: same size
+  bound_ = true;
+}
+
+std::size_t RepartitionChain::update_weights(
+    std::span<const WeightDelta> deltas) {
+  MMD_REQUIRE(bound_,
+              "the repartition chain has no base weight vector (call "
+              "set_weights first)");
+  // Validate everything, then reserve (the one throwing operation), then
+  // apply through a loop that cannot throw: a failed call mutates nothing.
+  for (const WeightDelta& d : deltas) {
+    MMD_REQUIRE(d.v >= 0 && d.v < n_, "weight delta vertex out of range");
+    MMD_REQUIRE(std::isfinite(d.weight) && d.weight >= 0.0,
+                "weight delta must be finite and non-negative");
+  }
+  dirty_.reserve(dirty_.size() + deltas.size());
+  for (const WeightDelta& d : deltas) {
+    weights_[static_cast<std::size_t>(d.v)] = d.weight;
+    dirty_.push_back(d.v);  // no alloc: reserved above
+  }
+  return deltas.size();
+}
+
+const PriorSolution* RepartitionChain::prior() {
+  if (!prior_valid_) return nullptr;
+  seed_.coloring = &prior_coloring_;
+  seed_.dirty = dirty_;
+  return &seed_;
+}
+
+void RepartitionChain::adopt(const Coloring& coloring, double max_boundary,
+                             bool incremental) {
+  Coloring staged = coloring;  // the one throwing step, before any commit
+  prior_coloring_ = std::move(staged);
+  seed_.max_boundary = max_boundary;
+  if (!incremental) seed_.baseline_max_boundary = max_boundary;
+  prior_valid_ = true;
+  dirty_.clear();
+}
+
+std::size_t RepartitionChain::memory_bytes() const {
+  return weights_.capacity() * sizeof(double) +
+         prior_coloring_.color.capacity() * sizeof(std::int32_t) +
+         dirty_.capacity() * sizeof(Vertex);
+}
+
 DecomposeContext::DecomposeContext(const Graph& g,
                                    const DecomposeOptions& options,
                                    DecomposeWorkspace* external_ws,
                                    ThreadPool* external_pool)
     : g_(&g), options_(options), external_pool_(external_pool),
-      ws_(external_ws ? external_ws : &own_ws_) {
+      ws_(external_ws ? external_ws : &own_ws_), chain_(g.num_vertices()) {
   MMD_REQUIRE(options.num_threads >= 1, "num_threads must be >= 1");
   reconcile(options);
 }
@@ -26,29 +103,11 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
   // A borrowed external pool overrides the num_threads ownership logic:
   // the caller decides the pool's lifetime and lane count.
   const bool pool_stale =
-      external_pool_ == nullptr &&
-      ((options.num_threads > 1) != (pool_ != nullptr) ||
-       (pool_ != nullptr && pool_->num_threads() != options.num_threads));
+      external_pool_ == nullptr && pool_.stale(options.num_threads);
 
   if (pool_stale) {
-    pool_.reset();
-    if (options.num_threads > 1) {
-      try {
-        pool_ = std::make_unique<ThreadPool>(options.num_threads);
-        ++stats_.pool_builds;
-      } catch (...) {
-        // Thread/memory exhaustion while spawning workers: the serial path
-        // computes the identical result (splitter contract), so degrade
-        // instead of failing the whole context.  The pool stays null until
-        // a future reconcile with a different thread count retries.
-        pool_.reset();
-        ++stats_.pool_construct_failures;
-        diag_report(options.diagnostics, DiagEvent::PoolConstructFailed,
-                    "ThreadPool construction failed (thread or memory "
-                    "exhaustion); decompose context degraded to the serial "
-                    "path");
-      }
-    }
+    pool_.rebuild(options.num_threads, options.diagnostics, stats_.pool_builds,
+                  stats_.pool_construct_failures);
   }
   if (splitter_stale) {
     splitter_ = make_default_splitter(*g_, options);
@@ -82,111 +141,41 @@ DecomposeResult DecomposeContext::decompose(std::span<const double> w,
 
 void DecomposeContext::set_weights(std::span<const double> w) {
   ExclusiveUse::Claim claim = claim_use();
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
-              "weight arity mismatch");
-  for (const double x : w)
-    MMD_REQUIRE(std::isfinite(x) && x >= 0.0,
-                "weights must be finite and non-negative");
-  if (weights_bound_ && prior_valid_) {
-    // A rebind is one big delta batch: record which vertices changed so
-    // the next repartition's dirty region covers them, and refresh the
-    // carried per-class sums.  reserve() first — the only throwing step —
-    // so a failed rebind leaves the old binding intact.
-    std::vector<Vertex> changed;
-    for (std::size_t v = 0; v < w.size(); ++v)
-      if (w[v] != weights_[v]) changed.push_back(static_cast<Vertex>(v));
-    pending_dirty_.reserve(pending_dirty_.size() + changed.size());
-    std::vector<double> next(w.begin(), w.end());
-    for (std::size_t i = 0; i < prior_class_weights_.size(); ++i)
-      prior_class_weights_[i] = 0.0;
-    for (std::size_t v = 0; v < w.size(); ++v)
-      prior_class_weights_[static_cast<std::size_t>(prior_coloring_.color[v])] +=
-          w[v];
-    weights_ = std::move(next);
-    pending_dirty_.insert(pending_dirty_.end(), changed.begin(), changed.end());
-  } else {
-    weights_.assign(w.begin(), w.end());
-  }
-  weights_bound_ = true;
+  chain_.set_weights(w);
 }
 
 std::size_t DecomposeContext::update_weights(std::span<const WeightDelta> deltas) {
   ExclusiveUse::Claim claim = claim_use();
-  MMD_REQUIRE(weights_bound_,
-              "update_weights requires set_weights (no base weight vector "
-              "is bound to this context)");
-  const auto n = static_cast<Vertex>(weights_.size());
-  // Validate everything, then reserve (the one throwing operation), then
-  // apply through a loop that cannot throw: a failed call mutates nothing.
-  for (const WeightDelta& d : deltas) {
-    MMD_REQUIRE(d.v >= 0 && d.v < n, "weight delta vertex out of range");
-    MMD_REQUIRE(std::isfinite(d.weight) && d.weight >= 0.0,
-                "weight delta must be finite and non-negative");
-  }
-  pending_dirty_.reserve(pending_dirty_.size() + deltas.size());
-  for (const WeightDelta& d : deltas) {
-    const auto v = static_cast<std::size_t>(d.v);
-    if (prior_valid_) {
-      // Carried stats stay in sync per delta; absolute weights make the
-      // increment zero when the same batch is re-applied on retry.
-      prior_class_weights_[static_cast<std::size_t>(prior_coloring_.color[v])] +=
-          d.weight - weights_[v];
-    }
-    weights_[v] = d.weight;
-    pending_dirty_.push_back(d.v);  // no alloc: reserved above
-  }
-  return deltas.size();
+  return chain_.update_weights(deltas);
 }
 
-DecomposeResult DecomposeContext::do_repartition() {
-  MMD_REQUIRE(weights_bound_,
-              "repartition requires set_weights (no base weight vector is "
-              "bound to this context)");
+DecomposeResult DecomposeContext::do_repartition(
+    std::span<const WeightDelta> deltas) {
+  chain_.update_weights(deltas);
   ++stats_.repartition_calls;
-  DecomposeResult r;
-  if (prior_valid_) {
-    PriorSolution ps;
-    ps.coloring = &prior_coloring_;
-    ps.class_weights = prior_class_weights_;
-    ps.max_boundary = prior_max_boundary_;
-    ps.baseline_max_boundary = prior_baseline_boundary_;
-    ps.dirty = pending_dirty_;
-    DecomposeOptions opt = options_;
-    opt.prior = &ps;
-    r = mmd::decompose(*g_, weights_, opt, *splitter_, ws_);
-    if (r.incremental) ++stats_.incremental_served;
-    if (r.escalated) ++stats_.escalations;
-  } else {
-    r = mmd::decompose(*g_, weights_, options_, *splitter_, ws_);
-  }
-  // Adopt the solution as the new prior.  Stage the throwing copies first,
-  // commit with nothrow moves: a mid-adoption allocation failure leaves
-  // the previous prior (and the accumulated dirty set) intact, so a retry
-  // re-solves from identical state.
-  Coloring adopted = r.coloring;
-  std::vector<double> cw = class_measure(weights_, adopted);
-  prior_coloring_ = std::move(adopted);
-  prior_class_weights_ = std::move(cw);
-  prior_max_boundary_ = r.max_boundary;
-  if (!r.incremental) prior_baseline_boundary_ = r.max_boundary;
-  prior_valid_ = true;
-  pending_dirty_.clear();
+  // decompose() tries the seeded path first and escalates to a full solve
+  // (counting the migration) when the certificate fires.
+  DecomposeOptions opt = options_;
+  opt.prior = chain_.prior();
+  DecomposeResult r =
+      mmd::decompose(*g_, chain_.weights(), opt, *splitter_, ws_);
+  if (r.incremental) ++stats_.incremental_served;
+  if (r.escalated) ++stats_.escalations;
+  chain_.adopt(r.coloring, r.max_boundary, r.incremental);
   return r;
 }
 
 DecomposeResult DecomposeContext::repartition(
     std::span<const WeightDelta> deltas) {
   ExclusiveUse::Claim claim = claim_use();
-  update_weights(deltas);
-  return do_repartition();
+  return do_repartition(deltas);
 }
 
 DecomposeResult DecomposeContext::repartition(
     std::span<const WeightDelta> deltas, const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
-  update_weights(deltas);
-  return do_repartition();
+  return do_repartition(deltas);
 }
 
 MultiDecomposeResult DecomposeContext::decompose_multi(
@@ -206,23 +195,7 @@ MultiDecomposeResult DecomposeContext::decompose_multi(
 }
 
 std::size_t DecomposeContext::memory_estimate_bytes() const {
-  const auto n = static_cast<std::size_t>(g_->num_vertices());
-  const int axes = g_->has_coords() ? g_->dim() : 0;
-  // Splitter estimate: the OrderingCache's global orders (one perm + rank
-  // block of n per cached axis order) dominate; the lane-private scratch
-  // (memberships, BFS state, order/radix buffers) is a handful of n-sized
-  // integer arrays.  Not instrumented exactly — the estimate only has to
-  // rank contexts for eviction and sum to the right order of magnitude.
-  std::size_t splitter_bytes =
-      static_cast<std::size_t>(axes) * n *
-          (sizeof(Vertex) + sizeof(std::int32_t)) +
-      8 * n * sizeof(std::int32_t);
-  std::size_t repartition_bytes =
-      weights_.capacity() * sizeof(double) +
-      prior_coloring_.color.capacity() * sizeof(std::int32_t) +
-      prior_class_weights_.capacity() * sizeof(double) +
-      pending_dirty_.capacity() * sizeof(Vertex);
-  return sizeof(*this) + splitter_bytes + repartition_bytes +
+  return sizeof(*this) + splitter_estimate_bytes(*g_) + chain_.memory_bytes() +
          own_ws_.memory_bytes();
 }
 

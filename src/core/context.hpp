@@ -94,6 +94,85 @@ class ExclusiveUse {
   std::atomic<std::thread::id> owner_{};
 };
 
+/// The pool policy every pool owner shares (DecomposeContext, FastContext
+/// and PartitionService): an owned ThreadPool sized by a requested thread
+/// count, rebuilt only when that count changes.  A construction that
+/// throws (thread or memory exhaustion) leaves no pool, which degrades the
+/// owner to the serial path: results are identical by the splitter
+/// contract, only slower.  The failure is counted, reported once as
+/// PoolConstructFailed, and not retried until the requested count
+/// changes, because the failed count is remembered like a built one.
+class OwnedPool {
+ public:
+  /// True when `num_threads` differs from the count of the last rebuild
+  /// (1 before the first), the only change that rebuilds the pool.
+  bool stale(int num_threads) const { return num_threads != threads_; }
+
+  /// Drop the pool and build one of `num_threads` lanes (none when
+  /// `num_threads` is 1 or less), counting the build in `builds` or the
+  /// failure in `failures`.  Owners that lent the old pool out must drop
+  /// the borrowers first.
+  void rebuild(int num_threads, DecomposeDiagnostics* diag, int& builds,
+               int& failures);
+
+  /// The pool, or nullptr while there is none.
+  ThreadPool* get() const { return pool_.get(); }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+  int threads_ = 1;
+};
+
+/// The weight-drift chain both contexts hold (DecomposeContext::repartition
+/// and FastContext::repartition): the bound weight vector, the pending
+/// dirty set, and the cached prior solution with its baseline.  Each
+/// context keeps only its own solve step; the contracts live here once:
+///
+///   * update_weights validates every delta before mutating anything, and
+///     deltas carry absolute weights, so a failed or repeated batch leaves
+///     the weights as one clean application would;
+///   * a rebind (set_weights after a solve) is one big delta batch: the
+///     changed vertices join the pending dirty set;
+///   * only adopt() clears the dirty set, and it stages its one allocation
+///     before committing, so a solve that throws anywhere before adoption
+///     leaves the chain able to serve the same batch again, bit for bit.
+class RepartitionChain {
+ public:
+  explicit RepartitionChain(Vertex num_vertices) : n_(num_vertices) {}
+
+  /// See DecomposeContext::set_weights.
+  void set_weights(std::span<const double> w);
+  bool has_weights() const { return bound_; }
+  std::span<const double> weights() const { return weights_; }
+  /// See DecomposeContext::update_weights.
+  std::size_t update_weights(std::span<const WeightDelta> deltas);
+
+  /// The cached prior as a decompose() seed over the pending dirty set,
+  /// or nullptr while no prior is cached.  The seed borrows the chain's
+  /// storage and stays valid until the chain is next mutated.
+  const PriorSolution* prior();
+
+  /// Adopt a solve's answer as the new prior and clear the dirty set.  A
+  /// full solve (`incremental` false) also re-baselines the boundary-growth
+  /// envelope.  The coloring copy is staged before anything is committed,
+  /// so an allocation failure here leaves the previous prior in place.
+  void adopt(const Coloring& coloring, double max_boundary, bool incremental);
+
+  /// Heap bytes retained by the chain (weights, prior, dirty set).
+  std::size_t memory_bytes() const;
+
+ private:
+  Vertex n_;
+  std::vector<double> weights_;
+  bool bound_ = false;
+  std::vector<Vertex> dirty_;  ///< cleared only by adopt()
+  Coloring prior_coloring_;
+  bool prior_valid_ = false;
+  /// What prior() hands out; it stores the prior's two boundaries, and
+  /// prior() points it at the coloring and the dirty set.
+  PriorSolution seed_;
+};
+
 /// Instrumentation counters of a context (see also
 /// ordering_cache_rebind_count() for the cache-level view).  The warm-path
 /// regression test pins splitter_builds == 1 across repeated calls.
@@ -101,9 +180,9 @@ struct DecomposeContextStats {
   long decompose_calls = 0;  ///< decompose + decompose_multi calls served
   int splitter_builds = 0;   ///< internal splitter (re)constructions
   int pool_builds = 0;       ///< thread-pool (re)constructions
-  /// Pool constructions that threw (thread/memory exhaustion); each one
-  /// degraded the context to the serial path (results identical, slower)
-  /// and reported PoolConstructFailed on options.diagnostics.
+  /// Pool constructions that threw (see OwnedPool); each one degraded the
+  /// context to the serial path (results identical, slower) and reported
+  /// PoolConstructFailed on options.diagnostics.
   int pool_construct_failures = 0;
   long repartition_calls = 0;    ///< repartition() calls served
   long incremental_served = 0;   ///< of those, served by the seeded path
@@ -155,22 +234,20 @@ class DecomposeContext {
   /// pending dirty set, so the next repartition treats the rebind as one
   /// big delta batch.
   void set_weights(std::span<const double> w);
-  bool has_weights() const { return weights_bound_; }
+  bool has_weights() const { return chain_.has_weights(); }
   /// The current (post-delta) weight vector (valid after set_weights).
-  std::span<const double> weights() const { return weights_; }
+  std::span<const double> weights() const { return chain_.weights(); }
 
   /// Apply absolute weight deltas to the bound weight vector in place,
-  /// refreshing the cached weight-dependent state (per-class weight sums
-  /// of the cached prior) without rebuilding the splitter, pool, or
-  /// hierarchy.  Validates every delta (vertex in range, weight finite and
-  /// >= 0) before mutating anything, and the mutation loop itself never
-  /// throws — so a failed call leaves the context exactly as it was, and
-  /// because deltas carry absolute weights, re-applying the same batch
-  /// after a mid-call fault is a no-op on the weights and class sums
-  /// (the retryability contract the fault suite pins).  The touched
-  /// vertices accumulate in the pending dirty set, which only a
-  /// *successful* repartition() clears.  Returns the number of deltas
-  /// applied.
+  /// without rebuilding the splitter, pool, or hierarchy.  Validates every
+  /// delta (vertex in range, weight finite and >= 0) before mutating
+  /// anything, and the mutation loop itself never throws — so a failed
+  /// call leaves the context exactly as it was, and because deltas carry
+  /// absolute weights, re-applying the same batch after a mid-call fault
+  /// is a no-op on the weights (the retryability contract the fault suite
+  /// pins).  The touched vertices accumulate in the pending dirty set,
+  /// which only a *successful* repartition() clears.  Returns the number
+  /// of deltas applied.
   std::size_t update_weights(std::span<const WeightDelta> deltas);
 
   /// Solve under the bound weights after applying `deltas`, seeding from
@@ -202,7 +279,8 @@ class DecomposeContext {
   /// The workspace every call leases its arenas from.
   DecomposeWorkspace& workspace() { return *ws_; }
   /// The pool the splitter runs on: the borrowed external pool if one was
-  /// supplied, else the owned pool (nullptr while num_threads <= 1).
+  /// supplied, else the owned pool (nullptr while num_threads <= 1 or
+  /// after a failed build; see OwnedPool).
   ThreadPool* thread_pool() {
     return external_pool_ != nullptr ? external_pool_ : pool_.get();
   }
@@ -229,29 +307,18 @@ class DecomposeContext {
  private:
   /// Make splitter/pool match `options`, rebuilding only on actual change.
   void reconcile(const DecomposeOptions& options);
-  DecomposeResult do_repartition();
+  DecomposeResult do_repartition(std::span<const WeightDelta> deltas);
 
   ExclusiveUse use_;
   const Graph* g_;
   DecomposeOptions options_;
   std::unique_ptr<ISplitter> splitter_;
-  std::unique_ptr<ThreadPool> pool_;
+  OwnedPool pool_;
   ThreadPool* external_pool_ = nullptr;
   DecomposeWorkspace own_ws_;
   DecomposeWorkspace* ws_;
   DecomposeContextStats stats_;
-
-  // Repartition chain state: the bound weight vector the deltas drift,
-  // and the cached prior solution (with per-class stats maintained
-  // incrementally per delta) the next call seeds from.
-  std::vector<double> weights_;
-  bool weights_bound_ = false;
-  Coloring prior_coloring_;
-  std::vector<double> prior_class_weights_;
-  double prior_max_boundary_ = 0.0;
-  double prior_baseline_boundary_ = 0.0;
-  bool prior_valid_ = false;
-  std::vector<Vertex> pending_dirty_;  ///< cleared only by a successful solve
+  RepartitionChain chain_;
 };
 
 }  // namespace mmd

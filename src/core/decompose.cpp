@@ -54,6 +54,18 @@ std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
   return s;
 }
 
+std::size_t splitter_estimate_bytes(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const int axes = g.has_coords() ? g.dim() : 0;
+  // One perm + rank block of n per cached axis order dominates; the lane
+  // scratch (memberships, BFS state, order/radix buffers) is a handful of
+  // n-sized integer arrays.  The estimate only has to rank contexts for
+  // eviction and sum to the right order of magnitude.
+  return static_cast<std::size_t>(axes) * n *
+             (sizeof(Vertex) + sizeof(std::int32_t)) +
+         8 * n * sizeof(std::int32_t);
+}
+
 double default_sigma_p(const Graph& g, double p) {
   if (g.has_coords() && g.is_grid_graph()) {
     const auto costs = g.edge_costs();
@@ -83,6 +95,8 @@ PhaseReport report_phase(const Graph& g, std::span<const double> w,
   return rep;
 }
 
+}  // namespace
+
 long count_migration(const Coloring& prior, const Coloring& now) {
   long moved = 0;
   const std::size_t n = std::min(prior.color.size(), now.color.size());
@@ -90,8 +104,6 @@ long count_migration(const Coloring& prior, const Coloring& now) {
     if (prior.color[v] != now.color[v]) ++moved;
   return moved;
 }
-
-}  // namespace
 
 DecomposeResult decompose(const Graph& g, std::span<const double> w,
                           const DecomposeOptions& options, ISplitter& splitter,
@@ -229,10 +241,9 @@ std::optional<DecomposeResult> try_incremental_repartition(
     return std::nullopt;
 
   // Balance certificate: the prior must still fit balance_headroom x the
-  // Definition 1 window under the NEW weights.  Recomputed fresh (O(n))
-  // rather than trusted from the carried stats — robustness beats the
-  // constant factor, and with the default headroom of 1.0 every served
-  // incremental result is strictly balanced (refinement preserves it).
+  // Definition 1 window under the NEW weights, recomputed fresh (O(n)):
+  // with the default headroom of 1.0 every served incremental result is
+  // strictly balanced (refinement preserves it).
   const BalanceReport pre = balance_report(w, pc);
   if (pre.max_dev > options.incremental.balance_headroom * pre.strict_bound +
                         1e-9 * std::max(1.0, pre.avg))

@@ -54,14 +54,13 @@ struct WeightDelta {
 };
 
 /// A borrowed previous solution threaded into decompose() as a seed.
-/// Everything here is borrowed and must outlive the call; the contexts
-/// (DecomposeContext::repartition) assemble one from their cached state —
-/// standalone callers can too.
+/// Everything here is borrowed and must outlive the call; both contexts'
+/// repartition chains assemble one from their cached state
+/// (RepartitionChain::prior) — standalone callers can too.  It carries no
+/// per-class sums: the balance certificate recomputes them under the
+/// current weights.
 struct PriorSolution {
   const Coloring* coloring = nullptr;   ///< previous solution (required)
-  /// Per-class weight sums of `coloring` under the CURRENT weights
-  /// (carried stats; the contexts maintain them incrementally per delta).
-  std::span<const double> class_weights;
   double max_boundary = 0.0;  ///< ||d chi^-1||_inf of `coloring`
   /// max_boundary recorded at the last FULL solve: the reference the
   /// boundary-growth escalation envelope is measured against (incremental
@@ -246,6 +245,10 @@ std::optional<DecomposeResult> try_incremental_repartition(
     const Graph& g, std::span<const double> w, const DecomposeOptions& options,
     DecomposeWorkspace* ws = nullptr);
 
+/// Vertices whose class differs between `prior` and `now` (the
+/// migration_cost of a repartition step).
+long count_migration(const Coloring& prior, const Coloring& now);
+
 /// The multi-balanced variant of Theorem 4 (Conclusion): a k-coloring that
 /// is strictly balanced w.r.t. `psi`, weakly balanced w.r.t. every extra
 /// measure (max class measure = O(avg + max)), with the same maximum
@@ -282,6 +285,12 @@ std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
 /// kind-only overload above keeps the default rule.
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  const DecomposeOptions& options);
+
+/// Estimated heap footprint of a warm default splitter for `g`: the
+/// OrderingCache's global orders plus the lane-private scratch.  A
+/// documented per-vertex estimate (the splitter internals are not
+/// instrumented); the contexts' memory_estimate_bytes charge it.
+std::size_t splitter_estimate_bytes(const Graph& g);
 
 /// Default sigma_p used when options.sigma_p <= 0 (see DecomposeOptions).
 double default_sigma_p(const Graph& g, double p);

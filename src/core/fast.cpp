@@ -1,8 +1,5 @@
 #include "core/fast.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/binpack.hpp"
 #include "graph/coarsen.hpp"
 #include "util/norms.hpp"
@@ -12,7 +9,8 @@ namespace mmd {
 
 FastContext::FastContext(const Graph& g, const FastOptions& options,
                          DecomposeWorkspace* external_ws)
-    : g_(&g), options_(options), ws_(external_ws ? external_ws : &own_ws_) {
+    : g_(&g), options_(options), ws_(external_ws ? external_ws : &own_ws_),
+      chain_(g.num_vertices()) {
   MMD_REQUIRE(options.inner.k >= 1, "k must be >= 1");
   reconcile(options);
 }
@@ -30,9 +28,7 @@ void FastContext::reconcile(const FastOptions& options) {
   const bool hierarchy_stale = options.seed != options_.seed ||
                                options.coarse_target != options_.coarse_target ||
                                options.max_levels != options_.max_levels;
-  const bool pool_stale =
-      (options.inner.num_threads > 1) != (pool_ != nullptr) ||
-      (pool_ != nullptr && pool_->num_threads() != options.inner.num_threads);
+  const bool pool_stale = pool_.stale(options.inner.num_threads);
   const bool fine_splitter_stale =
       options.inner.splitter != options_.inner.splitter;
   options_ = options;
@@ -49,22 +45,8 @@ void FastContext::reconcile(const FastOptions& options) {
     // pointer; drop them before the pool so nothing dangles.
     coarse_ctx_.reset();
     fine_splitter_.reset();
-    pool_.reset();
-    if (options.inner.num_threads > 1) {
-      try {
-        pool_ = std::make_unique<ThreadPool>(options.inner.num_threads);
-        ++stats_.pool_builds;
-      } catch (...) {
-        // Same degradation contract as DecomposeContext: the serial path
-        // computes the identical result, so a pool that cannot be built
-        // (thread/memory exhaustion) must not fail the context.
-        pool_.reset();
-        ++stats_.pool_construct_failures;
-        diag_report(options.inner.diagnostics, DiagEvent::PoolConstructFailed,
-                    "ThreadPool construction failed (thread or memory "
-                    "exhaustion); fast context degraded to the serial path");
-      }
-    }
+    pool_.rebuild(options.inner.num_threads, options.inner.diagnostics,
+                  stats_.pool_builds, stats_.pool_construct_failures);
   }
   if (fine_splitter_stale) fine_splitter_.reset();
   // A surviving coarse context reconciles the remaining inner options
@@ -228,78 +210,27 @@ FastResult FastContext::decompose(std::span<const double> w,
 
 void FastContext::set_weights(std::span<const double> w) {
   ExclusiveUse::Claim claim = claim_use();
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
-              "weight arity mismatch");
-  for (const double x : w)
-    MMD_REQUIRE(std::isfinite(x) && x >= 0.0,
-                "weights must be finite and non-negative");
-  if (weights_bound_ && prior_valid_) {
-    // A rebind is one big delta batch (see DecomposeContext::set_weights).
-    std::vector<Vertex> changed;
-    for (std::size_t v = 0; v < w.size(); ++v)
-      if (w[v] != weights_[v]) changed.push_back(static_cast<Vertex>(v));
-    pending_dirty_.reserve(pending_dirty_.size() + changed.size());
-    std::vector<double> next(w.begin(), w.end());
-    for (std::size_t i = 0; i < prior_class_weights_.size(); ++i)
-      prior_class_weights_[i] = 0.0;
-    for (std::size_t v = 0; v < w.size(); ++v)
-      prior_class_weights_[static_cast<std::size_t>(prior_coloring_.color[v])] +=
-          w[v];
-    weights_ = std::move(next);
-    pending_dirty_.insert(pending_dirty_.end(), changed.begin(), changed.end());
-  } else {
-    weights_.assign(w.begin(), w.end());
-  }
-  weights_bound_ = true;
+  chain_.set_weights(w);
 }
 
 std::size_t FastContext::update_weights(std::span<const WeightDelta> deltas) {
   ExclusiveUse::Claim claim = claim_use();
-  MMD_REQUIRE(weights_bound_,
-              "update_weights requires set_weights (no base weight vector "
-              "is bound to this context)");
-  const auto n = static_cast<Vertex>(weights_.size());
-  // Validate, reserve, then a nothrow apply loop — identical atomicity
-  // and retry contract as DecomposeContext::update_weights.
-  for (const WeightDelta& d : deltas) {
-    MMD_REQUIRE(d.v >= 0 && d.v < n, "weight delta vertex out of range");
-    MMD_REQUIRE(std::isfinite(d.weight) && d.weight >= 0.0,
-                "weight delta must be finite and non-negative");
-  }
-  pending_dirty_.reserve(pending_dirty_.size() + deltas.size());
-  for (const WeightDelta& d : deltas) {
-    const auto v = static_cast<std::size_t>(d.v);
-    if (prior_valid_) {
-      prior_class_weights_[static_cast<std::size_t>(prior_coloring_.color[v])] +=
-          d.weight - weights_[v];
-    }
-    weights_[v] = d.weight;
-    pending_dirty_.push_back(d.v);
-  }
-  return deltas.size();
+  return chain_.update_weights(deltas);
 }
 
 FastResult FastContext::repartition(std::span<const WeightDelta> deltas) {
   ExclusiveUse::Claim claim = claim_use();
-  MMD_REQUIRE(weights_bound_,
-              "repartition requires set_weights (no base weight vector is "
-              "bound to this context)");
-  update_weights(deltas);
+  chain_.update_weights(deltas);
   ++stats_.repartition_calls;
+  DecomposeOptions dopt = options_.inner;
+  dopt.prior = chain_.prior();
   FastResult out;
-  if (prior_valid_) {
-    PriorSolution ps;
-    ps.coloring = &prior_coloring_;
-    ps.class_weights = prior_class_weights_;
-    ps.max_boundary = prior_max_boundary_;
-    ps.baseline_max_boundary = prior_baseline_boundary_;
-    ps.dirty = pending_dirty_;
-    DecomposeOptions dopt = options_.inner;
-    dopt.prior = &ps;
-    // The prior is already at full resolution, so the seeded path runs
-    // directly on the host graph — no coarsening, projection, or closing
-    // pass involved.  The hierarchy stays cached for escalations.
-    if (auto inc = try_incremental_repartition(*g_, weights_, dopt, ws_)) {
+  // The prior is already at full resolution, so the seeded path runs
+  // directly on the host graph — no coarsening, projection, or closing
+  // pass involved.  The hierarchy stays cached for escalations.
+  if (dopt.prior != nullptr) {
+    if (auto inc =
+            try_incremental_repartition(*g_, chain_.weights(), dopt, ws_)) {
       out.coloring = std::move(inc->coloring);
       out.balance = inc->balance;
       out.max_boundary = inc->max_boundary;
@@ -312,55 +243,31 @@ FastResult FastContext::repartition(std::span<const WeightDelta> deltas) {
     }
   }
   if (!out.incremental) {
-    FastResult full = decompose(weights_);  // nested claim: same thread
-    if (prior_valid_) {
-      full.escalated = true;
+    out = decompose(chain_.weights());  // nested claim: same thread
+    if (dopt.prior != nullptr) {
+      out.escalated = true;
       ++stats_.escalations;
-      long moved = 0;
-      const std::size_t n = std::min(prior_coloring_.color.size(),
-                                     full.coloring.color.size());
-      for (std::size_t v = 0; v < n; ++v)
-        if (prior_coloring_.color[v] != full.coloring.color[v]) ++moved;
-      full.migration_cost = moved;
+      out.migration_cost = count_migration(*dopt.prior->coloring, out.coloring);
     }
-    out = std::move(full);
   }
   // Adopt only verified-quality solutions as the chain's new prior: a
   // degraded (deadline-projected) coloring would seed the next call from
   // a solution without the strict guarantee.
-  if (!out.degraded) {
-    Coloring adopted = out.coloring;
-    std::vector<double> cw = class_measure(weights_, adopted);
-    prior_coloring_ = std::move(adopted);
-    prior_class_weights_ = std::move(cw);
-    prior_max_boundary_ = out.max_boundary;
-    if (!out.incremental) prior_baseline_boundary_ = out.max_boundary;
-    prior_valid_ = true;
-    pending_dirty_.clear();
-  }
+  if (!out.degraded)
+    chain_.adopt(out.coloring, out.max_boundary, out.incremental);
   return out;
 }
 
 std::size_t FastContext::memory_estimate_bytes() const {
-  std::size_t total = sizeof(*this) + own_ws_.memory_bytes();
+  std::size_t total =
+      sizeof(*this) + own_ws_.memory_bytes() + chain_.memory_bytes();
   for (const Level& level : levels_) {
     total += level.graph.memory_bytes() +
              level.weights.capacity() * sizeof(double) +
              level.parent.capacity() * sizeof(Vertex);
   }
-  total += weights_.capacity() * sizeof(double) +
-           prior_coloring_.color.capacity() * sizeof(std::int32_t) +
-           prior_class_weights_.capacity() * sizeof(double) +
-           pending_dirty_.capacity() * sizeof(Vertex);
   if (coarse_ctx_ != nullptr) total += coarse_ctx_->memory_estimate_bytes();
-  if (fine_splitter_ != nullptr) {
-    // Same per-vertex splitter estimate as DecomposeContext's.
-    const auto n = static_cast<std::size_t>(g_->num_vertices());
-    const int axes = g_->has_coords() ? g_->dim() : 0;
-    total += static_cast<std::size_t>(axes) * n *
-                 (sizeof(Vertex) + sizeof(std::int32_t)) +
-             8 * n * sizeof(std::int32_t);
-  }
+  if (fine_splitter_ != nullptr) total += splitter_estimate_bytes(*g_);
   return total;
 }
 

@@ -75,7 +75,7 @@ struct FastContextStats {
   int fine_splitter_builds = 0;  ///< finest-level splitter (re)constructions
   int pool_builds = 0;        ///< shared thread-pool (re)constructions
   int pool_construct_failures = 0;  ///< pool builds that threw; degraded to
-                                    ///< serial (see DecomposeContextStats)
+                                    ///< serial (see OwnedPool)
   long degraded_calls = 0;    ///< decompose calls that returned degraded
   long repartition_calls = 0;   ///< repartition() calls served
   long incremental_served = 0;  ///< of those, served by the seeded path
@@ -118,18 +118,20 @@ class FastContext {
   /// count -> pool), so sweeping k, weights, or tolerances stays warm.
   FastResult decompose(std::span<const double> w, const FastOptions& options);
 
-  /// Repartition chain, mirroring DecomposeContext: bind base weights,
-  /// drift them with absolute deltas, and solve seeded from the cached
-  /// prior.  The incremental path serves at the *finest* level (the prior
-  /// is full-resolution; no projection needed), so the cached hierarchy is
-  /// only consulted when the escalation certificate forces a full
-  /// multilevel solve.  Degraded (deadline-projected) results are never
-  /// adopted as priors — the chain resumes from the last verified one.
-  /// Contracts (validation, atomicity, faulted-retry bit-identity) are
-  /// identical to DecomposeContext's; see core/context.hpp.
+  /// Repartition chain: bind base weights, drift them with absolute
+  /// deltas, and solve seeded from the cached prior.  The chain itself is
+  /// the RepartitionChain DecomposeContext holds too, so validation,
+  /// atomicity and the faulted-retry contract are the same code (see
+  /// core/context.hpp).  The incremental path serves at the *finest* level
+  /// (the prior is full-resolution; no projection needed), so the cached
+  /// hierarchy is only consulted when the escalation certificate forces a
+  /// full multilevel solve.  A degraded (deadline-projected) result is
+  /// returned but never adopted as the prior, and the dirty set survives
+  /// it: the next call resumes from the last verified prior and serves
+  /// what the unfaulted call would have.
   void set_weights(std::span<const double> w);
-  bool has_weights() const { return weights_bound_; }
-  std::span<const double> weights() const { return weights_; }
+  bool has_weights() const { return chain_.has_weights(); }
+  std::span<const double> weights() const { return chain_.weights(); }
   std::size_t update_weights(std::span<const WeightDelta> deltas);
   FastResult repartition(std::span<const WeightDelta> deltas = {});
 
@@ -191,20 +193,11 @@ class FastContext {
   // first (destroyed last).
   DecomposeWorkspace own_ws_;
   DecomposeWorkspace* ws_;
-  std::unique_ptr<ThreadPool> pool_;          ///< shared by both levels
+  OwnedPool pool_;                            ///< shared by both levels
   std::unique_ptr<DecomposeContext> coarse_ctx_;
   std::unique_ptr<ISplitter> fine_splitter_;  ///< closing binpack2 pass
   FastContextStats stats_;
-
-  // Repartition chain state (see DecomposeContext for the contracts).
-  std::vector<double> weights_;
-  bool weights_bound_ = false;
-  Coloring prior_coloring_;
-  std::vector<double> prior_class_weights_;
-  double prior_max_boundary_ = 0.0;
-  double prior_baseline_boundary_ = 0.0;
-  bool prior_valid_ = false;
-  std::vector<Vertex> pending_dirty_;
+  RepartitionChain chain_;
 };
 
 /// One-shot convenience wrapper: routes through a transient FastContext

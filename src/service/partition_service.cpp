@@ -25,19 +25,11 @@ const char* to_string(ServiceStatus status) {
 PartitionService::PartitionService(const PartitionServiceOptions& options)
     : options_(options), queue_(options.queue_capacity) {
   MMD_REQUIRE(options.num_workers >= 1, "num_workers must be >= 1");
-  if (options.num_workers > 1) {
-    try {
-      pool_ = std::make_unique<ThreadPool>(options.num_workers);
-    } catch (...) {
-      // Same degradation contract as the contexts: the serial round loop
-      // computes identical responses, so a pool that cannot be built must
-      // not fail the service.
-      pool_.reset();
-      diag_.report(DiagEvent::PoolConstructFailed,
-                   "ThreadPool construction failed (thread or memory "
-                   "exhaustion); service rounds degraded to the serial path");
-    }
-  }
+  // The contexts' pool policy (OwnedPool): the serial round loop computes
+  // identical responses, so a pool that cannot be built only reports on
+  // diag_.  The service keeps no pool counters of its own.
+  int builds = 0, failures = 0;
+  pool_.rebuild(options.num_workers, &diag_, builds, failures);
 }
 
 PartitionService::~PartitionService() { shutdown(); }
@@ -172,11 +164,11 @@ void PartitionService::process_round(std::vector<Pending*>& round) {
     Group& g = groups[static_cast<std::size_t>(gi)];
     for (Pending* p : g.requests) execute_one(g.state.get(), *p);
   };
-  if (pool_ != nullptr && groups.size() > 1) {
+  if (ThreadPool* pool = pool_.get(); pool != nullptr && groups.size() > 1) {
     // execute_one is exception-contained, so nothing reaches the pool's
     // rethrow path in practice; if something ever does, the caller's
     // catch-all keeps the round's other responses intact.
-    pool_->run(static_cast<int>(groups.size()), run_group);
+    pool->run(static_cast<int>(groups.size()), run_group);
   } else {
     for (std::size_t gi = 0; gi < groups.size(); ++gi)
       run_group(static_cast<int>(gi));
@@ -379,10 +371,6 @@ ServiceStats PartitionService::stats() const {
 }
 
 void PartitionService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(round_mu_);
-    shutdown_ = true;
-  }
   queue_.close();
   // Every queued Pending has an owner thread blocked in execute(), so the
   // backlog drains itself; wait for the last round to finish.

@@ -103,11 +103,11 @@ struct ServiceRequest {
   /// resource_exhausted) leaves the chain consistent: re-sending the same
   /// request returns the bit-identical result of an unfaulted first try.
   std::vector<WeightDelta> deltas;
-  // Fast-mode knobs (RequestMode::Fast only); defaults match FastOptions.
-  int fast_coarse_target = 4096;
-  int fast_max_levels = 24;
-  int fast_refine_passes = 4;
-  std::uint64_t fast_seed = 0xfa57;
+  // Fast-mode knobs (RequestMode::Fast only), defaulting to FastOptions'.
+  int fast_coarse_target = FastOptions{}.coarse_target;
+  int fast_max_levels = FastOptions{}.max_levels;
+  int fast_refine_passes = FastOptions{}.refine_passes_per_level;
+  std::uint64_t fast_seed = FastOptions{}.seed;
 };
 
 struct ServiceResponse {
@@ -253,14 +253,13 @@ class PartitionService {
   const PartitionServiceOptions options_;
   DecomposeDiagnostics diag_;
 
-  // Admission + round leadership.  round_mu_ guards leader_active_,
-  // shutdown_, and every Pending::done flag.
+  // Admission + round leadership.  round_mu_ guards leader_active_ and
+  // every Pending::done flag; the queue's closed flag is the shutdown state.
   BoundedQueue<Pending*> queue_;
   mutable std::mutex round_mu_;
   std::condition_variable round_cv_;
   bool leader_active_ = false;
-  bool shutdown_ = false;
-  std::unique_ptr<ThreadPool> pool_;  ///< group lanes (num_workers > 1)
+  OwnedPool pool_;  ///< group lanes (num_workers > 1)
 
   // Graph registry + context cache.
   mutable std::mutex cache_mu_;

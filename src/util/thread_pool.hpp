@@ -44,9 +44,10 @@ class ThreadPool {
   /// Construction is exception-safe: if spawning worker j throws
   /// (std::system_error on thread exhaustion, std::bad_alloc), workers
   /// 0..j-1 are stopped and joined before the exception escapes — never a
-  /// terminate() from a half-built pool.  Callers that can degrade (the
-  /// contexts) catch this and fall back to serial execution, reporting
-  /// PoolConstructFailed on their diagnostics sink.
+  /// terminate() from a half-built pool.  The owners (both contexts and
+  /// PartitionService) build through OwnedPool (core/context.hpp), which
+  /// catches this, falls back to serial execution, and reports
+  /// PoolConstructFailed on the owner's diagnostics sink.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

@@ -6,6 +6,11 @@
 // following clean decompose must succeed and match the reference, which
 // is what "exception safety" means operationally for this library.
 //
+// The pool degrade policy is pinned here too: a pool allocation that
+// fails while an owner (either context, the service) is constructed must
+// degrade that owner to the serial path, report once, and not be retried
+// until the thread count changes.
+//
 // The binary counts allocations itself (like test_prefix_split_alloc.cpp)
 // and consults the fault plan: the library never overrides operator new.
 #include <gtest/gtest.h>
@@ -16,7 +21,9 @@
 
 #include "core/context.hpp"
 #include "core/decompose.hpp"
+#include "core/fast.hpp"
 #include "gen/grid.hpp"
+#include "service/partition_service.hpp"
 #include "test_helpers.hpp"
 #include "util/fault.hpp"
 
@@ -50,6 +57,33 @@ class Oom : public ::testing::Test {
  protected:
   void TearDown() override { fault::disarm(); }
 };
+
+constexpr long kCountOnly = 1L << 40;
+
+/// Construct an owner with each of its allocations failed in turn (their
+/// count probed with fault::allocs_seen()) and return the first one whose
+/// construction survived with a failed pool build: the fault landed in
+/// ThreadPool construction, the one failure the owner absorbs.  Earlier
+/// indices throw std::bad_alloc out of the constructor.
+template <typename Owner, typename Make, typename PoolFailed>
+std::unique_ptr<Owner> construct_with_failed_pool(Make make,
+                                                  PoolFailed pool_failed) {
+  fault::arm_alloc_failure(kCountOnly);
+  (void)make();
+  const long total = fault::allocs_seen();
+  fault::disarm();
+  for (long i = 0; i < total; ++i) {
+    fault::arm_alloc_failure(i);
+    try {
+      std::unique_ptr<Owner> owner = make();
+      fault::disarm();
+      if (pool_failed(*owner)) return owner;
+    } catch (const std::bad_alloc&) {
+    }
+    fault::disarm();
+  }
+  return nullptr;
+}
 
 TEST_F(Oom, EveryAllocationIndexOfAColdDecomposeFailsCleanly) {
   const Graph g = make_grid_cube(2, 4);
@@ -124,6 +158,126 @@ TEST_F(Oom, WarmContextSurvivesOomAndStaysBitIdentical) {
     }
   }
   EXPECT_GT(failed, 0);
+}
+
+TEST_F(Oom, FailedContextPoolDegradesOnceAndIsNotRetried) {
+  const Graph g = make_grid_cube(2, 12);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 43);
+  DecomposeDiagnostics diag;
+  DecomposeOptions opt;
+  opt.k = 4;
+  opt.num_threads = 2;
+  opt.diagnostics = &diag;
+  DecomposeOptions serial = opt;
+  serial.num_threads = 1;
+  serial.diagnostics = nullptr;
+  const DecomposeResult reference = decompose(g, w, serial);
+
+  auto ctx = construct_with_failed_pool<DecomposeContext>(
+      [&] { return std::make_unique<DecomposeContext>(g, opt); },
+      [](DecomposeContext& c) {
+        return c.stats().pool_construct_failures > 0;
+      });
+  ASSERT_NE(ctx, nullptr) << "no allocation index reached the pool";
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+  EXPECT_EQ(ctx->thread_pool(), nullptr);
+
+  // Same options again and again: the failed count is remembered, so no
+  // call retries the build, and every answer is the serial one.
+  EXPECT_EQ(ctx->decompose(w).coloring.color, reference.coloring.color);
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(ctx->decompose(w, opt).coloring.color, reference.coloring.color)
+        << "call " << call;
+  }
+  EXPECT_EQ(ctx->stats().pool_builds, 0);
+  EXPECT_EQ(ctx->stats().pool_construct_failures, 1);
+  EXPECT_EQ(ctx->stats().splitter_builds, 1);
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+  EXPECT_EQ(ctx->thread_pool(), nullptr);
+
+  // A different thread count is a new request: the pool is built.
+  DecomposeOptions four = opt;
+  four.num_threads = 4;
+  EXPECT_EQ(ctx->decompose(w, four).coloring.color, reference.coloring.color);
+  EXPECT_EQ(ctx->stats().pool_builds, 1);
+  EXPECT_NE(ctx->thread_pool(), nullptr);
+}
+
+TEST_F(Oom, FailedFastContextPoolDegradesOnceAndIsNotRetried) {
+  const Graph g = make_grid_cube(2, 16);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 47);
+  DecomposeDiagnostics diag;
+  FastOptions opt;
+  opt.inner.k = 4;
+  opt.inner.num_threads = 2;
+  opt.inner.diagnostics = &diag;
+  opt.coarse_target = 64;  // coarsen, so the finest level has its splitter
+  FastOptions serial = opt;
+  serial.inner.num_threads = 1;
+  serial.inner.diagnostics = nullptr;
+  const FastResult reference = decompose_fast(g, w, serial);
+
+  auto ctx = construct_with_failed_pool<FastContext>(
+      [&] { return std::make_unique<FastContext>(g, opt); },
+      [](FastContext& c) { return c.stats().pool_construct_failures > 0; });
+  ASSERT_NE(ctx, nullptr) << "no allocation index reached the pool";
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+
+  const FastResult first = ctx->decompose(w);
+  EXPECT_EQ(first.coloring.color, reference.coloring.color);
+  ASSERT_GT(first.levels, 0);
+  EXPECT_EQ(ctx->coarse_context().thread_pool(), nullptr);
+  EXPECT_EQ(ctx->stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx->coarse_context().stats().decompose_calls, 1);
+
+  // Same options: no pool retry, and nothing that borrows the pool (the
+  // coarse context, the finest-level splitter) is rebuilt either.
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(ctx->decompose(w, opt).coloring.color, reference.coloring.color)
+        << "call " << call;
+    EXPECT_EQ(ctx->coarse_context().stats().decompose_calls, call + 2);
+  }
+  EXPECT_EQ(ctx->stats().pool_builds, 0);
+  EXPECT_EQ(ctx->stats().pool_construct_failures, 1);
+  EXPECT_EQ(ctx->stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx->stats().coarsen_builds, 1);
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+
+  FastOptions four = opt;
+  four.inner.num_threads = 4;
+  EXPECT_EQ(ctx->decompose(w, four).coloring.color, reference.coloring.color);
+  EXPECT_EQ(ctx->stats().pool_builds, 1);
+  EXPECT_NE(ctx->coarse_context().thread_pool(), nullptr);
+}
+
+TEST_F(Oom, FailedServicePoolDegradesToSerialRounds) {
+  const Graph g = make_grid_cube(2, 12);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 53);
+  PartitionServiceOptions so;
+  so.num_workers = 2;
+
+  auto service = construct_with_failed_pool<PartitionService>(
+      [&] { return std::make_unique<PartitionService>(so); },
+      [](PartitionService& s) {
+        return s.diagnostics().pool_construct_failures.load() > 0;
+      });
+  ASSERT_NE(service, nullptr) << "no allocation index reached the pool";
+  EXPECT_EQ(service->diagnostics().pool_construct_failures.load(), 1);
+
+  DecomposeOptions opt;
+  opt.k = 4;
+  const DecomposeResult reference = decompose(g, w, opt);
+  service->load_graph("a", Graph(g), w);
+  service->load_graph("b", Graph(g), w);
+  for (const char* name : {"a", "b", "a"}) {
+    ServiceRequest req;
+    req.graph = name;
+    req.options = opt;
+    const ServiceResponse resp = service->execute(req);
+    ASSERT_EQ(resp.status, ServiceStatus::Ok) << name << ": " << resp.error;
+    EXPECT_EQ(resp.coloring.color, reference.coloring.color) << name;
+  }
+  EXPECT_EQ(service->diagnostics().pool_construct_failures.load(), 1);
 }
 
 }  // namespace

@@ -353,19 +353,14 @@ TEST(Repartition, StandalonePriorSolutionThroughConvenienceOverload) {
   opt.k = 4;
   const DecomposeResult base = decompose(g, w, opt);
 
-  std::vector<double> cw = class_measure(std::span<const double>(w),
-                                         base.coloring);
   std::vector<Vertex> dirty;
   for (int v = n / 3; v < n / 3 + n / 100; ++v) {
     w[static_cast<std::size_t>(v)] = 1.05;
     dirty.push_back(static_cast<Vertex>(v));
-    cw[static_cast<std::size_t>(
-        base.coloring.color[static_cast<std::size_t>(v)])] += 0.05;
   }
 
   PriorSolution prior;
   prior.coloring = &base.coloring;
-  prior.class_weights = cw;
   prior.max_boundary = base.max_boundary;
   prior.baseline_max_boundary = base.max_boundary;
   prior.dirty = dirty;

@@ -182,11 +182,12 @@ bool request_from_json(const mmd::jsonl::Object& obj, mmd::ServiceRequest& req,
   else if (init == "best") req.options.init = mmd::InitMethod::Best;
   else if (error.empty()) error = "unknown init '" + init + "'";
 
-  req.fast_coarse_target = get_int("coarse_target", 4096);
-  req.fast_max_levels = get_int("max_levels", 24);
-  req.fast_refine_passes = get_int("refine_passes", 4);
-  req.fast_seed = static_cast<std::uint64_t>(
-      get_integer(obj, "seed", 0xfa57, 0, kExact, error));
+  const mmd::ServiceRequest def;
+  req.fast_coarse_target = get_int("coarse_target", def.fast_coarse_target);
+  req.fast_max_levels = get_int("max_levels", def.fast_max_levels);
+  req.fast_refine_passes = get_int("refine_passes", def.fast_refine_passes);
+  req.fast_seed = static_cast<std::uint64_t>(get_integer(
+      obj, "seed", static_cast<long long>(def.fast_seed), 0, kExact, error));
 
   include_partition = get_bool(obj, "include_partition", false, error);
   return error.empty();
