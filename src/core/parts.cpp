@@ -10,11 +10,13 @@ namespace mmd {
 
 std::vector<std::vector<Vertex>> iterative_partition(
     const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
-    double chunk_weight, ISplitter& splitter, double* cut_cost) {
+    double chunk_weight, ISplitter& splitter, double* cut_cost,
+    DecomposeWorkspace* ws) {
   MMD_REQUIRE(chunk_weight > 0.0, "chunk weight must be positive");
+  DecomposeWorkspace local_ws;
+  const auto in_chunk = (ws ? *ws : local_ws).membership(g.num_vertices());
   std::vector<std::vector<Vertex>> chunks;
   std::vector<Vertex> rest(u_list.begin(), u_list.end());
-  Membership in_chunk(g.num_vertices());
 
   double rest_weight = set_measure(psi, rest);
   const std::size_t max_chunks = u_list.size() + 2;
@@ -29,8 +31,8 @@ std::vector<std::vector<Vertex>> iterative_partition(
     SplitResult x = splitter.split(req);
     if (cut_cost) *cut_cost += x.boundary_cost;
     if (x.inside.empty() || x.inside.size() == rest.size()) break;  // degenerate
-    in_chunk.assign(x.inside);
-    rest = set_difference(rest, in_chunk);
+    in_chunk->assign(x.inside);
+    rest = set_difference(rest, *in_chunk);
     rest_weight -= x.weight;
     chunks.push_back(std::move(x.inside));
   }
@@ -41,11 +43,11 @@ std::vector<std::vector<Vertex>> iterative_partition(
 ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
                                  MeasureRef psi, double chunk_weight,
                                  std::span<const MeasureRef> aux,
-                                 ISplitter& splitter) {
+                                 ISplitter& splitter, DecomposeWorkspace* ws) {
   ExtractedPart out;
   if (u_list.empty()) return out;
   auto chunks = iterative_partition(g, u_list, psi, chunk_weight, splitter,
-                                    &out.cut_cost);
+                                    &out.cut_cost, ws);
   MMD_ASSERT(!chunks.empty(), "partition produced no chunks");
 
   // Totals per auxiliary measure for normalized shares.
@@ -74,7 +76,7 @@ ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
 ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_list,
                                    MeasureRef psi, double target,
                                    std::span<const MeasureRef> aux,
-                                   ISplitter& splitter) {
+                                   ISplitter& splitter, DecomposeWorkspace* ws) {
   ExtractedPart out;
   if (u_list.empty()) return out;
   const double total = set_measure(psi, u_list);
@@ -89,16 +91,16 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
   const auto r = std::max<std::size_t>(aux.size(), 1);
   const double chunk_weight = std::max(target / static_cast<double>(r + 1), 1e-300);
   auto chunks = iterative_partition(g, u_list, psi, chunk_weight, splitter,
-                                    &out.cut_cost);
+                                    &out.cut_cost, ws);
   MMD_ASSERT(!chunks.empty(), "partition produced no chunks");
 
-  Membership taken(g.num_vertices());
-  taken.clear();
+  DecomposeWorkspace local_ws;
+  const auto taken = (ws ? *ws : local_ws).membership(g.num_vertices());
   double weight = 0.0;
   auto take_chunk = [&](std::size_t i) {
     for (Vertex v : chunks[i]) {
-      if (taken.contains(v)) continue;
-      taken.add(v);
+      if (taken->contains(v)) continue;
+      taken->add(v);
       out.part.push_back(v);
       weight += psi[static_cast<std::size_t>(v)];
     }
@@ -122,7 +124,7 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
     std::vector<Vertex> rest;
     rest.reserve(u_list.size());
     for (Vertex v : u_list)
-      if (!taken.contains(v)) rest.push_back(v);
+      if (!taken->contains(v)) rest.push_back(v);
     const double rest_max = set_measure_max(psi, rest);
     SplitRequest req;
     req.g = &g;

@@ -24,10 +24,13 @@ namespace mmd {
 /// Lemma 28 (procedure IterativePartition): partition U into chunks, each
 /// of Psi-weight >= chunk_weight (except possibly when U itself is
 /// lighter) and <= max(3*chunk_weight, chunk_weight + ||Psi|U||_inf).
-/// Adds the applied splitter cut costs to *cut_cost if given.
+/// Adds the applied splitter cut costs to *cut_cost if given.  `ws`
+/// (optional) lends the n-sized marker, here and in the two extractions
+/// below, so repeated calls allocate no marker.
 std::vector<std::vector<Vertex>> iterative_partition(
     const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
-    double chunk_weight, ISplitter& splitter, double* cut_cost = nullptr);
+    double chunk_weight, ISplitter& splitter, double* cut_cost = nullptr,
+    DecomposeWorkspace* ws = nullptr);
 
 struct ExtractedPart {
   std::vector<Vertex> part;  ///< X, a subset of U
@@ -40,14 +43,16 @@ struct ExtractedPart {
 ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
                                  MeasureRef psi, double chunk_weight,
                                  std::span<const MeasureRef> aux,
-                                 ISplitter& splitter);
+                                 ISplitter& splitter,
+                                 DecomposeWorkspace* ws = nullptr);
 
 /// Corollary 18 via Lemma 30: X with Psi(X) in [target, target + wmax]
 /// containing a maximal chunk of every measure in `aux`.
 ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_list,
                                    MeasureRef psi, double target,
                                    std::span<const MeasureRef> aux,
-                                   ISplitter& splitter);
+                                   ISplitter& splitter,
+                                   DecomposeWorkspace* ws = nullptr);
 
 /// The boundary measure of U: out[v] = c(delta(v) cap delta(U)) for v in U
 /// (0 elsewhere); written into `scratch` (resized to n, zeroed only at the

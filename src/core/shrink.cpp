@@ -1,9 +1,11 @@
 #include "core/shrink.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "graph/subgraph.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mmd {
 
@@ -23,6 +25,23 @@ std::vector<double> degree_measure(const Graph& g, std::span<const Vertex> w_lis
     deg[static_cast<std::size_t>(v)] = d;
   }
   return deg;
+}
+
+/// Boundary measures of all classes in one pass: out[v] = c(delta(v) cap
+/// delta(U)) for v in W, U the class of v under `cls_of` (which colors
+/// exactly W).  The classes are disjoint, so each entry is the sum the
+/// per-class boundary_measure_of forms, over the same edges in the same
+/// order; entries outside W are left as they are.
+void class_boundary_measures(const Graph& g, std::span<const Vertex> w_list,
+                             const Coloring& cls_of, std::vector<double>& out) {
+  out.resize(static_cast<std::size_t>(g.num_vertices()), 0.0);
+  for (Vertex v : w_list) {
+    const std::int32_t c = cls_of[v];
+    double s = 0.0;
+    for (const HalfEdge& h : g.incidence(v))
+      if (cls_of[h.to] != c) s += h.cost;
+    out[static_cast<std::size_t>(v)] = s;
+  }
 }
 
 }  // namespace
@@ -101,7 +120,7 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
                   "CutDown diverged");
       const auto aux = extraction_measures(cls[static_cast<std::size_t>(i)]);
       ExtractedPart x = extract_light_part(g, cls[static_cast<std::size_t>(i)], w,
-                                           eps * psi_star, aux, splitter);
+                                           eps * psi_star, aux, splitter, &wsr);
       out.cut_cost += x.cut_cost;
       if (x.part.empty()) break;
       erase_part(i, x.part);
@@ -127,7 +146,8 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
                     "AddTo found no donor class");
         const auto aux = extraction_measures(cls[static_cast<std::size_t>(donor)]);
         ExtractedPart x = extract_light_part(g, cls[static_cast<std::size_t>(donor)],
-                                             w, eps * psi_star, aux, splitter);
+                                             w, eps * psi_star, aux, splitter,
+                                             &wsr);
         out.cut_cost += x.cut_cost;
         MMD_REQUIRE(!x.part.empty(), "AddTo donor produced empty part");
         erase_part(donor, x.part);
@@ -145,24 +165,67 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
     buffer.pop_back();
   }
 
-  // Step (5): per-class Corollary 18 extraction -> chi0 on W0.
+  // Step (5): per-class Corollary 18 extraction -> chi0 on W0.  chi1
+  // starts as the classes on all of W; the merge below moves each
+  // extracted part over to chi0.
   out.chi0 = Coloring(k, g.num_vertices());
   out.chi1 = Coloring(k, g.num_vertices());
+  for (int i = 0; i < k; ++i)
+    for (Vertex v : cls[static_cast<std::size_t>(i)]) out.chi1[v] = i;
+  // Every entry of W is rewritten, which covers the donor entries steps
+  // (2)-(3) left in the scratch; each extraction reads only its class.
+  class_boundary_measures(g, w_list, out.chi1, bnd_scratch);
+  std::vector<MeasureRef> aux{pi, deg_w, bnd_scratch};
+  aux.insert(aux.end(), preserve.begin(), preserve.end());
+
+  // The extractions are independent, so they fan out on the splitter's
+  // pool as L = min(pool threads, k) tasks — unless this call already runs
+  // inside a pooled task (a nested run() would execute inline anyway) or
+  // the splitter has no lanes.  Task 0 runs on this splitter and
+  // workspace, task j >= 1 on lane j-1 and lane workspace j-1,
+  // materialized here: lane tables must not grow inside the batch.  Tasks
+  // claim classes from a shared counter and write only the claimed
+  // class's slot; lanes are bit-identical replicas, so the schedule decides
+  // who extracts a class, never what is extracted.
+  ThreadPool* pool = splitter.thread_pool();
+  int tasks = pool != nullptr ? std::min(pool->num_threads(), k) : 1;
+  if (tasks >= 2 &&
+      (ThreadPool::on_worker_thread() || !splitter.ensure_lanes(tasks - 1)))
+    tasks = 1;
+  std::vector<ISplitter*> task_splitter{&splitter};
+  std::vector<DecomposeWorkspace*> task_ws{&wsr};
+  for (int j = 1; j < tasks; ++j) {
+    task_splitter.push_back(splitter.lane(j - 1));
+    task_ws.push_back(&wsr.lane_workspace(j - 1));
+  }
+  std::vector<ExtractedPart> parts(static_cast<std::size_t>(k));
+  std::atomic<int> next_class{0};
+  const auto task = [&](int j) {
+    for (int i = next_class.fetch_add(1, std::memory_order_relaxed); i < k;
+         i = next_class.fetch_add(1, std::memory_order_relaxed))
+      parts[static_cast<std::size_t>(i)] = extract_hitting_part(
+          g, cls[static_cast<std::size_t>(i)], w, eps * psi_star, aux,
+          *task_splitter[static_cast<std::size_t>(j)],
+          task_ws[static_cast<std::size_t>(j)]);
+  };
+  if (tasks == 1) {
+    task(0);
+  } else {
+    pool->run(tasks, task);
+  }
+
+  // Merge in class order, whatever order the extractions finished in:
+  // cut costs sum and W0/W1 append exactly as a serial loop would.
   for (int i = 0; i < k; ++i) {
-    auto& c = cls[static_cast<std::size_t>(i)];
-    const auto aux = extraction_measures(c);
-    ExtractedPart x = extract_hitting_part(g, c, w, eps * psi_star, aux, splitter);
+    const ExtractedPart& x = parts[static_cast<std::size_t>(i)];
     out.cut_cost += x.cut_cost;
-    removed.assign(x.part);
-    const std::vector<Vertex> rest = set_difference(c, removed);
     for (Vertex v : x.part) {
       out.chi0[v] = i;
+      out.chi1[v] = kUncolored;
       out.w0.push_back(v);
     }
-    for (Vertex v : rest) {
-      out.chi1[v] = i;
-      out.w1.push_back(v);
-    }
+    for (Vertex v : cls[static_cast<std::size_t>(i)])
+      if (out.chi1[v] == i) out.w1.push_back(v);
   }
   return out;
 }

@@ -105,14 +105,15 @@ class DecomposeWorkspace {
   /// Lease a cleared vertex-list buffer.
   VertexListLease vertex_list() { return VertexListLease(*this); }
 
-  /// Arena of deterministic fork-join lane `i` (multi_split's lane tree):
-  /// each concurrent task leases from its own child workspace, so the
-  /// lane pools are never touched from two threads.  The pool is sized by
-  /// use — the lane tree materializes workspaces 0..2^fork_depth-1 before
-  /// forking — created on demand and persistent, which keeps repeated
-  /// forked calls allocation-free in steady state.  Call from the
-  /// orchestration thread (before forking), never from inside a pooled
-  /// task.
+  /// Arena of deterministic fork-join lane `i` (multi_split's lane tree,
+  /// shrink_once's per-class extraction): each concurrent task leases from
+  /// its own child workspace, so the lane pools are never touched from two
+  /// threads.  The pool is sized by use — the lane tree materializes
+  /// workspaces 0..2^fork_depth-1 before forking, shrink_once 0..L-2 for
+  /// its L tasks (task 0 leases from this workspace) — created on demand
+  /// and persistent, which keeps repeated forked calls allocation-free in
+  /// steady state.  Call from the orchestration thread (before forking),
+  /// never from inside a pooled task.
   DecomposeWorkspace& lane_workspace(int i) {
     while (static_cast<std::size_t>(i) >= lane_ws_.size())
       lane_ws_.push_back(std::make_unique<DecomposeWorkspace>());

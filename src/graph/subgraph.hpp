@@ -4,6 +4,9 @@
 // Membership tests use an epoch-stamped marker so that switching between
 // subsets costs O(|subset|), not O(n) — essential for the recursive
 // algorithms whose per-level work must stay linear in the sub-instance.
+// Stamps are one byte per vertex: every splitter lane and lane workspace
+// holds n-sized markers, so the stamp width multiplies into peak memory,
+// while the O(n) refill a one-byte epoch needs comes once per 255 clears.
 //
 // Quantities follow the paper's notation:
 //   E(W)          edges running inside W
@@ -40,19 +43,22 @@ class Membership {
   /// Heap footprint (stamp-array capacity); feeds the workspace/context
   /// size accounting of the service cache.
   std::size_t memory_bytes() const {
-    return sizeof(*this) + stamp_.capacity() * sizeof(std::uint32_t);
+    return sizeof(*this) + stamp_.capacity() * sizeof(std::uint8_t);
   }
 
-  /// Start a fresh (empty) subset; O(1) amortized.
+  /// Start a fresh (empty) subset; O(1), plus an O(n) refill of the
+  /// stamps once every 255 clears when the one-byte epoch wraps.
   void clear() {
     if (++epoch_ == 0) {  // wrapped: reset stamps
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      std::fill(stamp_.begin(), stamp_.end(), std::uint8_t{0});
       epoch_ = 1;
     }
   }
 
   void add(Vertex v) { stamp_[static_cast<std::size_t>(v)] = epoch_; }
-  void remove(Vertex v) { stamp_[static_cast<std::size_t>(v)] = epoch_ - 1; }
+  void remove(Vertex v) {
+    stamp_[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(epoch_ - 1);
+  }
   bool contains(Vertex v) const {
     return stamp_[static_cast<std::size_t>(v)] == epoch_;
   }
@@ -64,8 +70,8 @@ class Membership {
   }
 
  private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 1;
+  std::vector<std::uint8_t> stamp_;
+  std::uint8_t epoch_ = 1;
 };
 
 /// Aggregate statistics of the edges running inside W.

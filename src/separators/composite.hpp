@@ -11,10 +11,10 @@
 // With a thread pool the children run concurrently: each child owns its
 // scratch, writes only its own result slot, and the reduction scans slots
 // in child order keeping the first strictly cheaper result — bit-identical
-// to the serial loop.  The pool is also forwarded to the children, so a
-// PrefixSplitter child can fan its candidate orders out on the same pool;
-// a nested run() from inside a pooled child task executes inline (see
-// thread_pool.hpp), which keeps the fan-out deadlock-free.
+// to the serial loop.  The pool is also forwarded to the children; since a
+// child splits inside a pooled task, a PrefixSplitter child takes its
+// serial candidate loop there, and any nested run() executes inline (see
+// thread_pool.hpp), which keeps the composition deadlock-free.
 #pragma once
 
 #include <memory>

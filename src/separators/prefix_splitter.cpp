@@ -15,8 +15,10 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   MMD_REQUIRE(request.g != nullptr, "null graph in split request");
   const Graph& g = *request.g;
   in_w_.ensure(g.num_vertices());
-  in_u_.ensure(g.num_vertices());
   in_w_.assign(request.w_list);
+  if (slots_.empty()) slots_.push_back(std::make_unique<EvalSlot>());
+  EvalSlot& slot0 = *slots_.front();
+  slot0.in_u.ensure(g.num_vertices());
 
   // w(W) and ||w|W||_inf are invariant across every candidate order of
   // this split: summed once here, consumed by every SweepEval evaluation
@@ -43,8 +45,13 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   const int candidates =
       (options_.use_bfs ? 1 : 0) + num_sweeps + (morton ? 1 : 0);
 
+  // Candidates fan out only from outside the pool: inside a pooled task
+  // (a lane-tree leaf, a strictify extraction) the nested run() executes
+  // inline, so the fan-out would merely skip pruning and hold one n-sized
+  // slot per candidate on every lane.
   SplitResult best;
-  if (thread_pool() != nullptr && candidates >= 2) {
+  if (thread_pool() != nullptr && candidates >= 2 &&
+      !ThreadPool::on_worker_thread()) {
     best = split_parallel(request, stats, num_sweeps, morton);
   } else {
     bool have_best = false;
@@ -56,8 +63,8 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
       const double bound = have_best ? best.boundary_cost
                                      : std::numeric_limits<double>::infinity();
       const SweepEvalResult r =
-          sweep_.eval(g, order, request.weights, request.target, stats, in_w_,
-                      in_u_, mode, bound);
+          slot0.sweep.eval(g, order, request.weights, request.target, stats,
+                           in_w_, slot0.in_u, mode, bound);
       if (r.pruned) return;
       if (!have_best || r.cost < best.boundary_cost) {
         best.inside.assign(order.begin(),
@@ -69,18 +76,20 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
     };
 
     if (options_.use_bfs) {
-      pseudo_peripheral_bfs_order_into(g, request.w_list, bfs_, order_);
-      consider(order_);
+      pseudo_peripheral_bfs_order_into(g, request.w_list, slot0.bfs,
+                                       slot0.order);
+      consider(slot0.order);
     }
     // The cache may be shared with concurrently splitting lanes, so this
     // instance always passes its own radix scratch.
     for (int idx = 0; idx < num_sweeps; ++idx) {
-      cache_->subset_order(idx, request.w_list, &in_w_, order_, &radix_);
-      consider(order_);
+      cache_->subset_order(idx, request.w_list, &in_w_, slot0.order,
+                           &slot0.radix);
+      consider(slot0.order);
     }
     if (morton) {
-      cache_->subset_morton_order(request.w_list, order_, &radix_);
-      consider(order_);
+      cache_->subset_morton_order(request.w_list, slot0.order, &slot0.radix);
+      consider(slot0.order);
     }
     if (!have_best) {  // coordinate-free fallback: id order
       consider(request.w_list);
@@ -92,7 +101,7 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
     FmOptions fm;
     fm.max_passes = options_.fm_max_passes;
     fm_refine_split(g, request.w_list, request.weights, request.target, best,
-                    fm, in_w_, in_u_, stats);
+                    fm, in_w_, slot0.in_u, stats);
   }
   return best;
 }

@@ -48,10 +48,10 @@ class PrefixSplitter final : public ISplitter {
   /// A lane shares the immutable OrderingCache (the O(n log n) per-graph
   /// global orders are computed once, by whoever binds first — bind() is
   /// serialized, so a whole lane-tree batch may race to it safely) and
-  /// owns its memberships, BFS/radix/sweep-eval scratch, and evaluation
-  /// slots — so any number of lanes and their parent may run concurrent
-  /// split() calls on the same graph with bit-identical results
-  /// (multi_split's lane tree holds 2^fork_depth of them).
+  /// owns its W marker and evaluation slots — so any number of lanes and
+  /// their parent may run concurrent split() calls on the same graph with
+  /// bit-identical results (multi_split's lane tree holds 2^fork_depth of
+  /// them, strictify's per-class extraction up to one per pool thread).
   std::unique_ptr<ISplitter> make_lane() override {
     return std::unique_ptr<ISplitter>(new PrefixSplitter(options_, cache_));
   }
@@ -63,8 +63,10 @@ class PrefixSplitter final : public ISplitter {
                  std::shared_ptr<OrderingCache> cache)
       : options_(options), cache_(std::move(cache)) {}
 
-  // One candidate order's private evaluation state (parallel path only).
-  // unique_ptr keeps slot addresses stable while the vector grows.
+  // One candidate order's evaluation state.  The serial loop evaluates
+  // every candidate in slot 0, and FM refinement borrows slot 0's marker;
+  // the candidate fan-out gives candidate i slot i.  unique_ptr keeps slot
+  // addresses stable while the vector grows.
   struct EvalSlot {
     std::vector<Vertex> order;
     Membership in_u;
@@ -74,7 +76,8 @@ class PrefixSplitter final : public ISplitter {
     SweepEvalResult res;
   };
 
-  /// With a pool, the candidate orders of one split (BFS + coordinate
+  /// With a pool, and when split() is not itself running inside a pooled
+  /// task, the candidate orders of one split (BFS + coordinate
   /// sweeps + Morton) are generated and costed concurrently, one
   /// index-addressed evaluation slot per candidate, and reduced in
   /// candidate-index order — bit-identical to the serial loop, which keeps
@@ -92,14 +95,10 @@ class PrefixSplitter final : public ISplitter {
   // order buffers persist across splits so the steady-state per-split cost
   // is O(|W| log |W|), independent of |V|.  The cache is shared with lanes
   // (read-only after bind); every other member is lane-private — including
-  // radix_, the subset-query scratch this instance passes to the shared
+  // each slot's radix scratch, which this instance passes to the shared
   // cache so concurrent lanes never touch the cache's internal buffers.
   std::shared_ptr<OrderingCache> cache_;
-  Membership in_w_, in_u_;
-  BfsScratch bfs_;
-  OrderingScratch radix_;
-  SweepEval sweep_;
-  std::vector<Vertex> order_;
+  Membership in_w_;
   std::vector<std::unique_ptr<EvalSlot>> slots_;
 };
 

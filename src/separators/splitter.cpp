@@ -63,14 +63,14 @@ bool ISplitter::ensure_lanes(int count) {
   // Lanes unsupported.  With a pool wired in the caller clearly intended
   // to fork, so report it — once per splitter instance, not per split —
   // instead of letting a missing make_lane override silently serialize
-  // every multi_split and read as a performance regression.  Counter +
-  // optional callback, never stderr: the embedding process owns its logs.
+  // every multi_split and shrink step and read as a performance
+  // regression.  Counter + optional callback, never stderr: the embedding
+  // process owns its logs.
   if (pool_ != nullptr && !lane_fallback_reported_) {
     lane_fallback_reported_ = true;
     diag_report(diag_, DiagEvent::LanelessFallback,
-                "splitter does not implement make_lane(); multi_split "
-                "falls back to the serial recursion despite a thread pool "
-                "being set");
+                "splitter does not implement make_lane(); multi_split and "
+                "shrink_once run serially despite a thread pool being set");
   }
   return false;
 }

@@ -91,9 +91,11 @@ class ISplitter {
   /// Must be called from the orchestration thread (not from inside a
   /// pooled task) before forking.  The lane table is flat and unbounded:
   /// multi_split's lane tree addresses its 2^fork_depth leaves as lanes
-  /// 0..2^d-1 and its level-l interior batch as lanes 0..2^l-1, so one
-  /// table serves every level (batches are sequential; only tasks within
-  /// one batch run concurrently, and those hold distinct indices).
+  /// 0..2^d-1 and its level-l interior batch as lanes 0..2^l-1, and
+  /// shrink_once's per-class extraction runs its L = min(pool threads, k)
+  /// tasks on this splitter (task 0) and lanes 0..L-2, so one table serves
+  /// every fork point (batches are sequential; only tasks within one batch
+  /// run concurrently, and those hold distinct indices).
   ISplitter* lane(int i);
 
   /// Materialize lanes 0..count-1 eagerly (orchestration thread only) and
@@ -103,7 +105,7 @@ class ISplitter {
   /// stderr — library code does not own the process's logs) instead of
   /// silently serializing: a splitter that forgot to override make_lane
   /// must not masquerade as a perf regression.  Callers (multi_split's
-  /// lane tree) fall back to the serial recursion on false.
+  /// lane tree, shrink_once's per-class extraction) stay serial on false.
   bool ensure_lanes(int count);
 
   /// Depth of multi_split's fork-join lane tree: recursion levels

@@ -3,7 +3,7 @@
 //
 // Library code must never write to stderr — a server embedding the
 // library owns its logs.  Conditions worth surfacing (a splitter without
-// lane support silently serializing multi_split, a thread-pool
+// lane support silently serializing multi_split or shrink_once, a thread-pool
 // construction failure degrading to serial, a deadline-degraded fast-mode
 // result) instead increment counters on a caller-owned DecomposeDiagnostics
 // sink, borrowed via DecomposeOptions::diagnostics and stamped onto the
@@ -22,7 +22,7 @@ namespace mmd {
 
 /// Event kinds reported to DecomposeDiagnostics::callback.
 enum class DiagEvent {
-  LanelessFallback,     ///< make_lane unsupported; multi_split stayed serial
+  LanelessFallback,     ///< make_lane unsupported; a fork stayed serial
   PoolConstructFailed,  ///< ThreadPool build threw; context degraded to serial
   DegradedResult,       ///< deadline hit in fast mode; best-effort returned
   ConcurrentContextEntry,  ///< a context (exclusive per call) was entered
@@ -40,8 +40,9 @@ struct DecomposeDiagnostics {
   DecomposeDiagnostics(const DecomposeDiagnostics&) = delete;
   DecomposeDiagnostics& operator=(const DecomposeDiagnostics&) = delete;
 
-  /// multi_split wanted to fork but the splitter lacks make_lane support;
-  /// the call fell back to the (correct, slower) serial recursion.
+  /// multi_split or shrink_once wanted to fork but the splitter lacks
+  /// make_lane support; the call fell back to the (correct, slower) serial
+  /// path.
   std::atomic<long> laneless_fallbacks{0};
   /// ThreadPool construction threw (thread/memory exhaustion); the context
   /// degraded to the serial path instead of failing the call.

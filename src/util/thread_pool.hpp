@@ -1,15 +1,18 @@
 // Persistent thread pool for deterministic fork-join over indexed tasks.
 //
 // The decomposition pipeline's parallelism is of one shape only: a fixed
-// set of independent candidates (sweep orders of a PrefixSplitter, children
-// of a CompositeSplitter) evaluated concurrently, followed by a serial
-// reduction whose result must be *bit-identical* to the serial loop.  The
-// pool therefore exposes a single primitive, run(count, fn), which invokes
-// fn(0..count-1) exactly once each on unspecified threads and returns when
-// all are done.  Determinism is the caller's half of the contract: fn(i)
-// writes only to slot i of a result array and the reduction happens on the
-// calling thread in index order, so the schedule can never change the
-// outcome.
+// set of independent items — sweep orders of a PrefixSplitter, children of
+// a CompositeSplitter, the nodes of one level of multi_split's lane tree,
+// the per-class Corollary 18 extractions of shrink_once — computed
+// concurrently, followed by a serial reduction whose result must be
+// *bit-identical* to the serial loop.  The pool therefore exposes a single
+// primitive, run(count, fn), which invokes fn(0..count-1) exactly once
+// each on unspecified threads and returns when all are done.  Determinism
+// is the caller's half of the contract: every item's result lands in that
+// item's own slot (task i writes slot i; shrink_once's tasks claim classes
+// from a counter and write each claimed class's slot) and the reduction
+// happens on the calling thread in index order, so the schedule can never
+// change the outcome.
 //
 // Properties:
 //   * The calling thread participates, so run() makes progress even with

@@ -1,6 +1,7 @@
 // Counting-allocator pins for PrefixSplitter::split itself (serial and
-// parallel paths, both SweepMode rules), matching the existing refine /
-// multi_split steady-state allocator tests: once the splitter's persistent
+// parallel paths, a split from inside a pooled task, both SweepMode
+// rules), matching the existing refine / multi_split steady-state
+// allocator tests: once the splitter's persistent
 // scratch — memberships, order buffers, evaluation slots, SweepEval
 // engines — has grown to steady state, the per-call allocation count must
 // be flat (the unavoidable result-vector allocations of SplitResult, and
@@ -93,6 +94,44 @@ TEST_F(PrefixSplitAlloc, ParallelSteadyStateIsFlat) {
     splitter.set_sweep_mode(mode);
     splitter.set_thread_pool(&pool);
     expect_flat_split_allocations(splitter, req_);
+  }
+}
+
+TEST_F(PrefixSplitAlloc, SplitInsidePooledTaskMatchesSerialAndIsFlat) {
+  // A split issued from a pooled task (a lane-tree leaf, a strictify
+  // extraction) takes the serial, pruned loop on slot 0 instead of fanning
+  // its candidates out inline: same answer bit for bit, flat allocations.
+  for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+    PrefixSplitter serial;
+    serial.set_sweep_mode(mode);
+    const SplitResult want = serial.split(req_);
+
+    ThreadPool pool(2);
+    PrefixSplitter splitter;
+    splitter.set_sweep_mode(mode);
+    splitter.set_thread_pool(&pool);
+    SplitResult got;
+    // Two tasks, so the batch really forks; only task 0 splits.
+    const auto split_in_task = [&] {
+      pool.run(2, [&](int i) {
+        if (i == 0) got = splitter.split(req_);
+      });
+    };
+    split_in_task();
+    split_in_task();
+
+    const long before_a = g_alloc_count.load();
+    split_in_task();
+    const long cost_a = g_alloc_count.load() - before_a;
+    EXPECT_EQ(got.inside, want.inside);
+    EXPECT_EQ(got.weight, want.weight);
+    EXPECT_EQ(got.boundary_cost, want.boundary_cost);
+
+    const long before_b = g_alloc_count.load();
+    split_in_task();
+    const long cost_b = g_alloc_count.load() - before_b;
+    EXPECT_EQ(cost_a, cost_b) << "per-split allocation count not flat";
+    EXPECT_EQ(got.inside, want.inside);
   }
 }
 

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "core/decompose.hpp"
 #include "core/measures.hpp"
 #include "core/multibalance.hpp"
 #include "core/strictify.hpp"
+#include "gen/geometric.hpp"
 #include "gen/grid.hpp"
+#include "gen/mesh.hpp"
 #include "separators/prefix_splitter.hpp"
 #include "test_helpers.hpp"
 #include "util/norms.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mmd {
 namespace {
@@ -103,6 +110,183 @@ TEST(Strictify, RequiresTotalColoring) {
   Coloring partial(4, f.g.num_vertices());
   EXPECT_THROW(strictify_almost(f.g, partial, w, f.pi, f.splitter),
                std::invalid_argument);
+}
+
+// ---- StrictifyThreads ------------------------------------------------------
+// shrink_once runs its per-class Corollary 18 extractions as tasks on the
+// splitter's pool (task 0 on the splitter itself, task j >= 1 on lane j-1)
+// and merges the per-class results in class order.  shrink_once and
+// strictify_almost must therefore return bitwise the same colorings, W0/W1
+// orders and cut costs with no pool and with any pool size.
+
+struct ThreadInstance {
+  Graph g;
+  std::vector<double> w;
+  std::vector<double> pi = splitting_cost_measure(g, 2.0, 2.0);
+  std::vector<double> user = testing::weights_for(g, WeightModel::Bimodal, 23);
+};
+
+ThreadInstance weighted_tri_mesh() {
+  CostParams costs;
+  costs.model = CostModel::Uniform;
+  costs.hi = 4.0;
+  costs.seed = 5;
+  Graph g = make_tri_mesh(36, 36, costs);
+  std::vector<double> w = testing::weights_for(g, WeightModel::Uniform, 11);
+  return {std::move(g), std::move(w)};
+}
+
+ThreadInstance random_geometric() {
+  Graph g = make_random_geometric(1200, 0.05, {}, 17);
+  std::vector<double> w = testing::weights_for(g, WeightModel::Uniform, 13);
+  return {std::move(g), std::move(w)};
+}
+
+ThreadInstance grid() {
+  Graph g = make_grid_cube(2, 36);
+  std::vector<double> w = testing::weights_for(g, WeightModel::Uniform, 19);
+  return {std::move(g), std::move(w)};
+}
+
+/// One shrink_once and one strictify_almost on a fresh Auto splitter (the
+/// grid gets best-of(grid, prefix)) with `pool` wired in, or none.
+struct ThreadRun {
+  ShrinkOutput shrink;
+  Coloring strict;
+  StrictifyStats stats;
+};
+
+ThreadRun run_with_pool(const ThreadInstance& inst, const Coloring& chi,
+                        std::span<const MeasureRef> preserve, ThreadPool* pool) {
+  const auto splitter = make_default_splitter(inst.g, SplitterKind::Auto);
+  splitter->set_thread_pool(pool);
+  DecomposeWorkspace ws;
+  ThreadRun run;
+  run.shrink = shrink_once(inst.g, testing::all_vertices(inst.g), chi, inst.w,
+                           inst.pi, *splitter, {}, preserve, &ws);
+  run.strict = strictify_almost(inst.g, chi, inst.w, inst.pi, *splitter, {},
+                                &run.stats, preserve, &ws);
+  return run;
+}
+
+void expect_same_run(const ThreadRun& want, const ThreadRun& got,
+                     const std::string& where) {
+  EXPECT_EQ(got.shrink.chi0.color, want.shrink.chi0.color) << where;
+  EXPECT_EQ(got.shrink.chi1.color, want.shrink.chi1.color) << where;
+  EXPECT_EQ(got.shrink.w0, want.shrink.w0) << where;
+  EXPECT_EQ(got.shrink.w1, want.shrink.w1) << where;
+  EXPECT_EQ(got.shrink.cut_cost, want.shrink.cut_cost) << where;
+  EXPECT_EQ(got.strict.color, want.strict.color) << where;
+  EXPECT_EQ(got.stats.cut_cost, want.stats.cut_cost) << where;
+  EXPECT_EQ(got.stats.levels, want.stats.levels) << where;
+}
+
+void expect_bit_identical_across_pools(const ThreadInstance& inst) {
+  for (const int k : {2, 7, 16}) {
+    const std::vector<MeasureRef> refs{MeasureRef(inst.pi), MeasureRef(inst.w)};
+    PrefixSplitter balance_splitter;
+    const Coloring chi = multibalance(inst.g, k, refs, balance_splitter);
+    for (const bool with_preserve : {false, true}) {
+      std::vector<MeasureRef> preserve;
+      if (with_preserve) preserve.push_back(inst.user);
+      const ThreadRun serial = run_with_pool(inst, chi, preserve, nullptr);
+      ASSERT_TRUE(balance_report(inst.w, serial.strict).almost_strictly_balanced);
+      ASSERT_GE(serial.stats.levels, 2) << "strictify never shrank";
+      for (const int threads : {2, 4, 8}) {
+        ThreadPool pool(threads);
+        const std::string where = "k=" + std::to_string(k) +
+                                  " preserve=" + std::to_string(with_preserve) +
+                                  " threads=" + std::to_string(threads);
+        expect_same_run(serial, run_with_pool(inst, chi, preserve, &pool), where);
+      }
+    }
+  }
+}
+
+TEST(StrictifyThreads, WeightedTriMeshBitIdenticalAcrossPools) {
+  expect_bit_identical_across_pools(weighted_tri_mesh());
+}
+
+TEST(StrictifyThreads, RandomGeometricBitIdenticalAcrossPools) {
+  expect_bit_identical_across_pools(random_geometric());
+}
+
+TEST(StrictifyThreads, GridCompositeBitIdenticalAcrossPools) {
+  expect_bit_identical_across_pools(grid());
+}
+
+TEST(StrictifyThreads, WarmLanesStayBitIdenticalAcrossCalls) {
+  // The second call reuses the lanes and lane workspaces the first one
+  // materialized; warm scratch must not leak into the answer.
+  const ThreadInstance inst = weighted_tri_mesh();
+  const std::vector<MeasureRef> refs{MeasureRef(inst.pi), MeasureRef(inst.w)};
+  PrefixSplitter balance_splitter;
+  const Coloring chi = multibalance(inst.g, 16, refs, balance_splitter);
+  const ThreadRun serial = run_with_pool(inst, chi, {}, nullptr);
+
+  ThreadPool pool(4);
+  const auto splitter = make_default_splitter(inst.g, SplitterKind::Auto);
+  splitter->set_thread_pool(&pool);
+  DecomposeWorkspace ws;
+  for (int call = 0; call < 3; ++call) {
+    StrictifyStats stats;
+    const Coloring out = strictify_almost(inst.g, chi, inst.w, inst.pi,
+                                          *splitter, {}, &stats, {}, &ws);
+    EXPECT_EQ(out.color, serial.strict.color) << "call " << call;
+    EXPECT_EQ(stats.cut_cost, serial.stats.cut_cost) << "call " << call;
+  }
+}
+
+TEST(StrictifyThreads, LanelessSplitterFallsBackToSerial) {
+  // Without make_lane the fan-out cannot fork: shrink_once keeps the
+  // serial loop, reports LanelessFallback once per splitter (not per
+  // shrink step), and answers exactly as with no pool.
+  class LanelessSplitter final : public ISplitter {
+   public:
+    SplitResult split(const SplitRequest& request) override {
+      return inner_.split(request);
+    }
+    std::string name() const override { return "laneless"; }
+    // make_lane deliberately not overridden: default returns nullptr.
+   private:
+    PrefixSplitter inner_;
+  };
+
+  const ThreadInstance inst = random_geometric();
+  const std::vector<MeasureRef> refs{MeasureRef(inst.pi), MeasureRef(inst.w)};
+  PrefixSplitter balance_splitter;
+  const Coloring chi = multibalance(inst.g, 7, refs, balance_splitter);
+  const auto all = testing::all_vertices(inst.g);
+
+  LanelessSplitter serial_splitter;
+  const ShrinkOutput serial_shrink =
+      shrink_once(inst.g, all, chi, inst.w, inst.pi, serial_splitter);
+  StrictifyStats serial_stats;
+  const Coloring serial = strictify_almost(inst.g, chi, inst.w, inst.pi,
+                                           serial_splitter, {}, &serial_stats);
+
+  ThreadPool pool(4);
+  LanelessSplitter splitter;
+  splitter.set_thread_pool(&pool);
+  DecomposeDiagnostics diag;
+  splitter.set_diagnostics(&diag);
+  DecomposeWorkspace ws;
+  const ShrinkOutput shrink =
+      shrink_once(inst.g, all, chi, inst.w, inst.pi, splitter, {}, {}, &ws);
+  EXPECT_EQ(diag.laneless_fallbacks.load(), 1);
+  StrictifyStats stats;
+  const Coloring out = strictify_almost(inst.g, chi, inst.w, inst.pi, splitter,
+                                        {}, &stats, {}, &ws);
+  EXPECT_GE(stats.levels, 2) << "the shrink path never ran";
+  EXPECT_EQ(diag.laneless_fallbacks.load(), 1);
+
+  EXPECT_EQ(shrink.chi0.color, serial_shrink.chi0.color);
+  EXPECT_EQ(shrink.chi1.color, serial_shrink.chi1.color);
+  EXPECT_EQ(shrink.w0, serial_shrink.w0);
+  EXPECT_EQ(shrink.w1, serial_shrink.w1);
+  EXPECT_EQ(shrink.cut_cost, serial_shrink.cut_cost);
+  EXPECT_EQ(out.color, serial.color);
+  EXPECT_EQ(stats.cut_cost, serial_stats.cut_cost);
 }
 
 }  // namespace
