@@ -17,15 +17,15 @@ struct Search {
 
   double avg = 0.0;
   double window = 0.0;  // (1 - 1/k) ||w||_inf + fp slack
-  std::vector<double> suffix_weight;  // total weight of vertices >= v
+  std::vector<double> suffix_weight{};  // total weight of vertices >= v
 
-  std::vector<std::int32_t> color;    // current partial assignment
-  std::vector<double> cls_weight;
-  std::vector<double> cls_boundary;   // boundary cost per class, partial
+  std::vector<std::int32_t> color{};  // current partial assignment
+  std::vector<double> cls_weight{};
+  std::vector<double> cls_boundary{};  // boundary cost per class, partial
   int used_colors = 0;
 
   double best = std::numeric_limits<double>::infinity();
-  std::vector<std::int32_t> best_color;
+  std::vector<std::int32_t> best_color{};
   long long nodes = 0;
 
   bool feasible_completion(Vertex v) const {

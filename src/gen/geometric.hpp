@@ -27,7 +27,7 @@ Graph make_knn(int n, int k, const CostParams& costs = {},
 /// 3-D random geometric graph on n points in [0,1]^3 (unit-ball style),
 /// same degree cap and cost models as make_random_geometric.  Carries
 /// 3-axis integer coordinates, so it exercises the d >= 3 sweep and
-/// splitter paths (per-axis orders, no Morton/grid shortcuts).
+/// splitter paths (per-axis orders, 3-D Morton keys, no grid splitter).
 Graph make_random_geometric3(int n, double radius, const CostParams& costs = {},
                              std::uint64_t seed = 17, int max_degree = 14);
 

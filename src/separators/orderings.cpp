@@ -217,6 +217,90 @@ void sort_by_key(std::span<const std::uint64_t> key, std::vector<Vertex>& order)
   if (a != order.data()) std::copy(a, a + s, order.data());
 }
 
+/// Spread the low 21 bits of x to every third bit of a 64-bit word (bit i
+/// lands on bit 3i).
+std::uint64_t interleave_third(std::uint64_t x) {
+  x &= 0x1fffffull;
+  x = (x | (x << 32)) & 0x001f00000000ffffull;
+  x = (x | (x << 16)) & 0x001f0000ff0000ffull;
+  x = (x | (x << 8)) & 0x100f00f00f00f00full;
+  x = (x | (x << 4)) & 0x10c30c30c30c30c3ull;
+  x = (x | (x << 2)) & 0x1249249249249249ull;
+  return x;
+}
+
+/// Exact Morton keys of w_list in D = 2 or 3 dimensions, anchored at the
+/// subset minima (morton_order's offsets), into key[0..|W|).  Axis 0 takes
+/// the highest bit of every level, which is the comparator's rule that the
+/// first of several equally significant differing axes decides.  Two
+/// offset 32-bit axes always fit one word; three fit only when every axis
+/// spans fewer than 2^21 values — false (keys unwritten) otherwise.
+template <int D>
+bool morton_keys(const Graph& g, std::span<const Vertex> w_list,
+                 std::uint64_t* key) {
+  std::int64_t lo[D], hi[D];
+  std::fill_n(lo, D, std::numeric_limits<std::int32_t>::max());
+  std::fill_n(hi, D, std::numeric_limits<std::int32_t>::min());
+  for (const Vertex v : w_list) {
+    const std::int32_t* c = g.coords_unchecked(v);
+    for (int d = 0; d < D; ++d) {
+      lo[d] = std::min(lo[d], static_cast<std::int64_t>(c[d]));
+      hi[d] = std::max(hi[d], static_cast<std::int64_t>(c[d]));
+    }
+  }
+  if constexpr (D == 3) {
+    for (int d = 0; d < D; ++d)
+      if (hi[d] - lo[d] >= (std::int64_t{1} << 21)) return false;
+  }
+  for (std::size_t i = 0; i < w_list.size(); ++i) {
+    const std::int32_t* c = g.coords_unchecked(w_list[i]);
+    std::uint64_t k = 0;
+    for (int d = 0; d < D; ++d) {
+      const auto x = static_cast<std::uint64_t>(c[d] - lo[d]);
+      k |= (D == 2 ? interleave_even(x) : interleave_third(x)) << (D - 1 - d);
+    }
+    key[i] = k;
+  }
+  return true;
+}
+
+/// Stable LSD radix sort of the pairs (ka[i], va[i]), i < s, by key: one
+/// 8-bit counting pass per key byte on which some keys differ.  kb and vb
+/// are scratch of length >= s.  The sorted vertices end in va; the
+/// returned pointer (ka or kb) holds the sorted keys.
+template <class Key>
+const Key* radix_sort_pairs(Key* ka, Key* kb, Vertex* va, Vertex* vb,
+                            std::size_t s) {
+  Key all_or = 0, all_and = ~Key{0};
+  for (std::size_t i = 0; i < s; ++i) {
+    all_or |= ka[i];
+    all_and &= ka[i];
+  }
+  const Key varying = all_or ^ all_and;
+  Vertex* const out = va;
+  std::uint32_t count[256];
+  for (unsigned shift = 0; shift < 8 * sizeof(Key); shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::fill(std::begin(count), std::end(count), 0u);
+    for (std::size_t i = 0; i < s; ++i) ++count[(ka[i] >> shift) & 0xff];
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : count) {
+      const std::uint32_t next = sum + c;
+      c = sum;
+      sum = next;
+    }
+    for (std::size_t i = 0; i < s; ++i) {
+      const std::uint32_t pos = count[(ka[i] >> shift) & 0xff]++;
+      kb[pos] = ka[i];
+      vb[pos] = va[i];
+    }
+    std::swap(ka, kb);
+    std::swap(va, vb);
+  }
+  if (va != out) std::copy(va, va + s, out);
+  return ka;
+}
+
 }  // namespace
 
 void OrderingCache::rebind(const Graph& g) {
@@ -314,8 +398,20 @@ void OrderingCache::subset_order(int idx, std::span<const Vertex> w_list,
   }
   out.assign(w_list.begin(), w_list.end());
   const std::int32_t* rank = rank_.data() + base;
-  if (out.size() >= 128) {
-    radix_sort_by_rank(rank, out, scratch ? *scratch : scratch_);
+  const std::size_t s = out.size();
+  if (s >= 128) {
+    // Gather the 32-bit ranks once (one random load per element), then
+    // radix them: ranks are unique, so the stable sort is the restriction
+    // of the cached order.
+    OrderingScratch& sc = scratch ? *scratch : scratch_;
+    sc.key32.resize(std::max(sc.key32.size(), s));
+    sc.buf32.resize(std::max(sc.buf32.size(), s));
+    sc.vbuf.resize(std::max(sc.vbuf.size(), s));
+    for (std::size_t i = 0; i < s; ++i)
+      sc.key32[i] =
+          static_cast<std::uint32_t>(rank[static_cast<std::size_t>(out[i])]);
+    radix_sort_pairs(sc.key32.data(), sc.buf32.data(), out.data(),
+                     sc.vbuf.data(), s);
   } else {
     std::sort(out.begin(), out.end(), [rank](Vertex a, Vertex b) {
       return rank[static_cast<std::size_t>(a)] < rank[static_cast<std::size_t>(b)];
@@ -330,107 +426,37 @@ void OrderingCache::subset_morton_order(std::span<const Vertex> w_list,
   MMD_REQUIRE(bound != nullptr && bound->has_coords(),
               "ordering cache not bound to a coordinate graph");
   const Graph& g = *bound;
-  OrderingScratch& sc = scratch ? *scratch : scratch_;
-  if (g.dim() != 2) {
+  const int dim = g.dim();
+  if (dim != 2 && dim != 3) {
     out = morton_order(g, w_list);
     return;
   }
-  // Two dimensions: anchor at the subset minima (morton_order's offsets),
-  // interleave into exact 64-bit keys with dim 0 on the high lanes (the
-  // comparator's most-significant-differing-dim rule), and radix-sort the
-  // (key, vertex) pairs over the bytes on which keys actually differ.
-  std::int64_t lo0 = std::numeric_limits<std::int64_t>::max(), lo1 = lo0;
-  for (const Vertex v : w_list) {
-    const std::int32_t* c = g.coords_unchecked(v);
-    lo0 = std::min(lo0, static_cast<std::int64_t>(c[0]));
-    lo1 = std::min(lo1, static_cast<std::int64_t>(c[1]));
-  }
+  // Exact interleaved keys, radix-sorted over the bytes on which they
+  // differ; a 3-D box too wide for 21 bits per axis takes the comparator.
+  OrderingScratch& sc = scratch ? *scratch : scratch_;
   const std::size_t s = w_list.size();
   sc.key.resize(std::max(sc.key.size(), s));
+  if (!(dim == 2 ? morton_keys<2>(g, w_list, sc.key.data())
+                 : morton_keys<3>(g, w_list, sc.key.data()))) {
+    out = morton_order(g, w_list);
+    return;
+  }
   sc.buf.resize(std::max(sc.buf.size(), s));
+  sc.vbuf.resize(std::max(sc.vbuf.size(), s));
   out.assign(w_list.begin(), w_list.end());
-  std::uint64_t all_or = 0, all_and = ~0ull;
-  for (std::size_t i = 0; i < s; ++i) {
-    const std::int32_t* c = g.coords_unchecked(out[i]);
-    const std::uint64_t k =
-        (interleave_even(static_cast<std::uint64_t>(c[0] - lo0)) << 1) |
-        interleave_even(static_cast<std::uint64_t>(c[1] - lo1));
-    sc.key[i] = k;
-    all_or |= k;
-    all_and &= k;
+  const std::uint64_t* sorted = radix_sort_pairs(
+      sc.key.data(), sc.buf.data(), out.data(), sc.vbuf.data(), s);
+  if (dim == 2) return;  // ties keep w_list order
+  // Equal keys mean identical coordinates, which morton_order orders by
+  // vertex id; the stable radix left them in w_list order.
+  for (std::size_t i = 0; i < s;) {
+    std::size_t j = i + 1;
+    while (j < s && sorted[j] == sorted[i]) ++j;
+    if (j - i > 1)
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(i),
+                out.begin() + static_cast<std::ptrdiff_t>(j));
+    i = j;
   }
-  const std::uint64_t varying = all_or ^ all_and;
-  // Pack (key byte stream, payload) pairs implicitly: sort parallel
-  // (sc.key, out) arrays byte by byte, stably.
-  std::uint64_t* ka = sc.key.data();
-  std::uint64_t* kb = sc.buf.data();
-  sc.vbuf.resize(std::max(sc.vbuf.size(), s));
-  Vertex* va = out.data();
-  Vertex* vb = sc.vbuf.data();
-  std::uint32_t count[256];
-  for (int byte = 0; byte < 8; ++byte) {
-    const int shift = 8 * byte;
-    if (((varying >> shift) & 0xff) == 0) continue;
-    std::fill(std::begin(count), std::end(count), 0u);
-    for (std::size_t i = 0; i < s; ++i) ++count[(ka[i] >> shift) & 0xff];
-    std::uint32_t sum = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t next = sum + c;
-      c = sum;
-      sum = next;
-    }
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::uint32_t pos = count[(ka[i] >> shift) & 0xff]++;
-      kb[pos] = ka[i];
-      vb[pos] = va[i];
-    }
-    std::swap(ka, kb);
-    std::swap(va, vb);
-  }
-  if (va != out.data()) std::copy(va, va + s, out.data());
-}
-
-void OrderingCache::radix_sort_by_rank(const std::int32_t* rank,
-                                       std::vector<Vertex>& out,
-                                       OrderingScratch& sc) const {
-  // Gather the 32-bit ranks once — one random load per element — then LSD
-  // radix with 8-bit digits over the rank bytes: ceil(log256 n) stable
-  // counting passes of sequential O(|W| + 256) work each.  The vertex
-  // payload rides in a parallel array; ranks are unique within W, so the
-  // result is the same permutation the packed-64-bit variant produced,
-  // at 12 scratch bytes per element instead of 16.
-  const std::size_t s = out.size();
-  sc.key32.resize(std::max(sc.key32.size(), s));
-  sc.buf32.resize(std::max(sc.buf32.size(), s));
-  sc.vbuf.resize(std::max(sc.vbuf.size(), s));
-  std::uint32_t* ka = sc.key32.data();
-  std::uint32_t* kb = sc.buf32.data();
-  Vertex* va = out.data();
-  Vertex* vb = sc.vbuf.data();
-  for (std::size_t i = 0; i < s; ++i)
-    ka[i] = static_cast<std::uint32_t>(rank[static_cast<std::size_t>(va[i])]);
-  int passes = 0;
-  for (Vertex top = n_ - 1; top > 0; top >>= 8) ++passes;
-  std::uint32_t count[256];
-  for (int p = 0; p < passes; ++p) {
-    const int shift = 8 * p;
-    std::fill(std::begin(count), std::end(count), 0u);
-    for (std::size_t i = 0; i < s; ++i) ++count[(ka[i] >> shift) & 0xff];
-    std::uint32_t sum = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t next = sum + c;
-      c = sum;
-      sum = next;
-    }
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::uint32_t pos = count[(ka[i] >> shift) & 0xff]++;
-      kb[pos] = ka[i];
-      vb[pos] = va[i];
-    }
-    std::swap(ka, kb);
-    std::swap(va, vb);
-  }
-  if (va != out.data()) std::copy(va, va + s, out.data());
 }
 
 }  // namespace mmd

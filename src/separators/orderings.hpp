@@ -54,13 +54,13 @@ void pseudo_peripheral_bfs_order_into(const Graph& g,
 /// pool evaluating several sweep orders of one split at once) must each
 /// pass their own.
 struct OrderingScratch {
-  // 64-bit interleaved Morton keys (subset_morton_order only).
+  // 64-bit interleaved Morton keys (subset_morton_order, 2-D and 3-D).
   std::vector<std::uint64_t> key, buf;
-  // 32-bit rank keys + parallel vertex payload (radix_sort_by_rank):
-  // ranks are unique permutation ranks < n < 2^31, so packing them with
-  // the vertex into one 64-bit word would double the scratch traffic for
+  // 32-bit rank keys (subset_order): ranks are unique permutation ranks
+  // < n < 2^31, so 64-bit keys would double the scratch traffic for
   // nothing.
   std::vector<std::uint32_t> key32, buf32;
+  // Vertex payload riding along either key array.
   std::vector<Vertex> vbuf;
 };
 
@@ -75,8 +75,11 @@ long ordering_cache_rebind_count();
 /// re-running the coordinate comparators on every split — the dominant
 /// cost of the seed pipeline.  The Morton order is *not* cached: its
 /// quality depends on anchoring the Z-curve at the subset's own bounding
-/// box, so subset_morton_order computes it per subset (with interleaved
-/// keys and a radix sort in two dimensions).
+/// box, so subset_morton_order computes it per subset.  In two and three
+/// dimensions it builds exact interleaved 64-bit keys and radix-sorts them
+/// (the LSD radix subset_order runs on cached ranks); only 3-D boxes
+/// spanning 2^21 or more on some axis, and dimensions other than 2 and 3,
+/// run morton_order's comparator.
 ///
 /// Thread safety: one cache may be shared by several splitter lanes
 /// running concurrent splits on the *same* graph (ISplitter::make_lane).
@@ -116,18 +119,18 @@ class OrderingCache {
 
   /// Morton (Z-curve) order of w_list anchored at its own bounding box —
   /// the same curve as morton_order(g, w_list), computed with interleaved
-  /// keys + radix in two dimensions (comparator fallback otherwise).
-  /// Vertices with identical coordinates keep their w_list order (the
-  /// radix is stable) instead of morton_order's id tie-break.
-  /// `scratch` as in subset_order.
+  /// keys + radix in 2-D and in 3-D (21 bits per axis); wider 3-D boxes
+  /// and other dimensions call morton_order.  Vertices with identical
+  /// coordinates keep their w_list order in 2-D (the radix is stable) and
+  /// go by vertex id in 3-D, so the 3-D result equals
+  /// morton_order(g, w_list) exactly.  A warm keyed call allocates
+  /// nothing.  `scratch` as in subset_order.
   void subset_morton_order(std::span<const Vertex> w_list,
                            std::vector<Vertex>& out,
                            OrderingScratch* scratch = nullptr) const;
 
  private:
   void rebind(const Graph& g);
-  void radix_sort_by_rank(const std::int32_t* rank, std::vector<Vertex>& out,
-                          OrderingScratch& scratch) const;
 
   // g_ is the publication point: rebind writes every other field first and
   // stores g_ last (release), so the lock-free acquire loads in the subset

@@ -100,6 +100,8 @@ std::vector<Instance> instances() {
   std::vector<Instance> out;
   out.push_back({"grid2d", make_grid_cube(2, 24)});
   out.push_back({"geometric", make_random_geometric(600, 0.07)});
+  // 3-D: the Morton candidate's key path, on per-slot and per-lane scratch.
+  out.push_back({"geometric3", make_random_geometric3(600, 0.16)});
   out.push_back({"torus", make_torus(20, 30)});
   out.push_back({"tree", make_complete_binary_tree(9)});
   return out;

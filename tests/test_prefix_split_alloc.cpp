@@ -1,7 +1,8 @@
 // Counting-allocator pins for PrefixSplitter::split itself (serial and
 // parallel paths, a split from inside a pooled task, both SweepMode
 // rules), matching the existing refine / multi_split steady-state
-// allocator tests: once the splitter's persistent
+// allocator tests, on a 2-D and a 3-D grid (the Morton candidate's two
+// key paths): once the splitter's persistent
 // scratch — memberships, order buffers, evaluation slots, SweepEval
 // engines — has grown to steady state, the per-call allocation count must
 // be flat (the unavoidable result-vector allocations of SplitResult, and
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "gen/grid.hpp"
@@ -61,39 +63,53 @@ void expect_flat_split_allocations(PrefixSplitter& splitter,
   EXPECT_EQ(a.boundary_cost, b.boundary_cost);
 }
 
-class PrefixSplitAlloc : public ::testing::Test {
- protected:
-  PrefixSplitAlloc()
-      : g_(make_grid_cube(2, 14)),
-        vs_(testing::all_vertices(g_)),
-        w_(vs_.size(), 1.0) {
-    req_.g = &g_;
-    req_.w_list = vs_;
-    req_.weights = w_;
-    req_.target = static_cast<double>(vs_.size()) / 2.0;
+/// A unit-weight split of every vertex of g into halves.
+struct SplitInput {
+  explicit SplitInput(Graph graph)
+      : g(std::move(graph)), vs(testing::all_vertices(g)), w(vs.size(), 1.0) {
+    req.g = &g;
+    req.w_list = vs;
+    req.weights = w;
+    req.target = static_cast<double>(vs.size()) / 2.0;
   }
 
-  Graph g_;
-  std::vector<Vertex> vs_;
-  std::vector<double> w_;
-  SplitRequest req_;
+  Graph g;
+  std::vector<Vertex> vs;
+  std::vector<double> w;
+  SplitRequest req;
+};
+
+class PrefixSplitAlloc : public ::testing::Test {
+ protected:
+  PrefixSplitAlloc() {
+    inputs_.push_back(std::make_unique<SplitInput>(make_grid_cube(2, 14)));
+    inputs_.push_back(std::make_unique<SplitInput>(make_grid_cube(3, 6)));
+  }
+
+  std::vector<std::unique_ptr<SplitInput>> inputs_;
 };
 
 TEST_F(PrefixSplitAlloc, SerialSteadyStateIsFlat) {
-  for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
-    PrefixSplitter splitter;
-    splitter.set_sweep_mode(mode);
-    expect_flat_split_allocations(splitter, req_);
+  for (const auto& in : inputs_) {
+    SCOPED_TRACE(::testing::Message() << "dim " << in->g.dim());
+    for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+      PrefixSplitter splitter;
+      splitter.set_sweep_mode(mode);
+      expect_flat_split_allocations(splitter, in->req);
+    }
   }
 }
 
 TEST_F(PrefixSplitAlloc, ParallelSteadyStateIsFlat) {
-  for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
-    ThreadPool pool(2);
-    PrefixSplitter splitter;
-    splitter.set_sweep_mode(mode);
-    splitter.set_thread_pool(&pool);
-    expect_flat_split_allocations(splitter, req_);
+  for (const auto& in : inputs_) {
+    SCOPED_TRACE(::testing::Message() << "dim " << in->g.dim());
+    for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+      ThreadPool pool(2);
+      PrefixSplitter splitter;
+      splitter.set_sweep_mode(mode);
+      splitter.set_thread_pool(&pool);
+      expect_flat_split_allocations(splitter, in->req);
+    }
   }
 }
 
@@ -101,57 +117,63 @@ TEST_F(PrefixSplitAlloc, SplitInsidePooledTaskMatchesSerialAndIsFlat) {
   // A split issued from a pooled task (a lane-tree leaf, a strictify
   // extraction) takes the serial, pruned loop on slot 0 instead of fanning
   // its candidates out inline: same answer bit for bit, flat allocations.
-  for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
-    PrefixSplitter serial;
-    serial.set_sweep_mode(mode);
-    const SplitResult want = serial.split(req_);
+  for (const auto& in : inputs_) {
+    SCOPED_TRACE(::testing::Message() << "dim " << in->g.dim());
+    for (const SweepMode mode : {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+      PrefixSplitter serial;
+      serial.set_sweep_mode(mode);
+      const SplitResult want = serial.split(in->req);
 
-    ThreadPool pool(2);
-    PrefixSplitter splitter;
-    splitter.set_sweep_mode(mode);
-    splitter.set_thread_pool(&pool);
-    SplitResult got;
-    // Two tasks, so the batch really forks; only task 0 splits.
-    const auto split_in_task = [&] {
-      pool.run(2, [&](int i) {
-        if (i == 0) got = splitter.split(req_);
-      });
-    };
-    split_in_task();
-    split_in_task();
+      ThreadPool pool(2);
+      PrefixSplitter splitter;
+      splitter.set_sweep_mode(mode);
+      splitter.set_thread_pool(&pool);
+      SplitResult got;
+      // Two tasks, so the batch really forks; only task 0 splits.
+      const auto split_in_task = [&] {
+        pool.run(2, [&](int i) {
+          if (i == 0) got = splitter.split(in->req);
+        });
+      };
+      split_in_task();
+      split_in_task();
 
-    const long before_a = g_alloc_count.load();
-    split_in_task();
-    const long cost_a = g_alloc_count.load() - before_a;
-    EXPECT_EQ(got.inside, want.inside);
-    EXPECT_EQ(got.weight, want.weight);
-    EXPECT_EQ(got.boundary_cost, want.boundary_cost);
+      const long before_a = g_alloc_count.load();
+      split_in_task();
+      const long cost_a = g_alloc_count.load() - before_a;
+      EXPECT_EQ(got.inside, want.inside);
+      EXPECT_EQ(got.weight, want.weight);
+      EXPECT_EQ(got.boundary_cost, want.boundary_cost);
 
-    const long before_b = g_alloc_count.load();
-    split_in_task();
-    const long cost_b = g_alloc_count.load() - before_b;
-    EXPECT_EQ(cost_a, cost_b) << "per-split allocation count not flat";
-    EXPECT_EQ(got.inside, want.inside);
+      const long before_b = g_alloc_count.load();
+      split_in_task();
+      const long cost_b = g_alloc_count.load() - before_b;
+      EXPECT_EQ(cost_a, cost_b) << "per-split allocation count not flat";
+      EXPECT_EQ(got.inside, want.inside);
+    }
   }
 }
 
 TEST_F(PrefixSplitAlloc, RefineDisabledSerialEvaluationAllocatesOnlyResult) {
   // Without FM (whose result rebuild path reallocates inside), the warm
   // serial split allocates exactly the SplitResult vector it returns: the
-  // whole evaluation pipeline — orders, memberships, sweep scans — runs
-  // on persistent scratch.
-  PrefixSplitterOptions opts;
-  opts.refine = false;
-  PrefixSplitter splitter(opts);
-  (void)splitter.split(req_);
-  (void)splitter.split(req_);
+  // whole evaluation pipeline — orders (the 3-D Morton keys included),
+  // memberships, sweep scans — runs on persistent scratch.
+  for (const auto& in : inputs_) {
+    SCOPED_TRACE(::testing::Message() << "dim " << in->g.dim());
+    PrefixSplitterOptions opts;
+    opts.refine = false;
+    PrefixSplitter splitter(opts);
+    (void)splitter.split(in->req);
+    (void)splitter.split(in->req);
 
-  const long before = g_alloc_count.load();
-  const SplitResult res = splitter.split(req_);
-  const long cost = g_alloc_count.load() - before;
-  EXPECT_FALSE(res.inside.empty());
-  EXPECT_LE(cost, 1) << "warm serial split must allocate at most the "
-                        "returned inside vector";
+    const long before = g_alloc_count.load();
+    const SplitResult res = splitter.split(in->req);
+    const long cost = g_alloc_count.load() - before;
+    EXPECT_FALSE(res.inside.empty());
+    EXPECT_LE(cost, 1) << "warm serial split must allocate at most the "
+                          "returned inside vector";
+  }
 }
 
 }  // namespace

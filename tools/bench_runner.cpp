@@ -83,6 +83,13 @@
 #include "core/fast.hpp"  // seed and current both have the fast mode;
                           // MMD_HAS_FAST_CONTEXT marks the warm path
 
+// glibc keeps freed heap resident (malloc_trim hands it back); other C
+// libraries run the E12 suite without the trim.
+#if defined(__GLIBC__)
+#include <malloc.h>
+#define MMD_BENCH_HAS_MALLOC_TRIM 1
+#endif
+
 namespace {
 
 using namespace mmd;
@@ -358,7 +365,15 @@ void bench_refine_converged(int side, int k) {
 // Sizes run strictly ascending so the monotone peak-RSS stamp on each row
 // reflects the largest instance processed so far.  Reps are small (the
 // instances are 16-160x larger than every other suite) and "cold" stays
-// the seed-comparable default mode.
+// the seed-comparable default mode.  Each instance starts by returning the
+// freed heap of the instances before it to the OS, so its rows measure its
+// own build and solve rather than an earlier instance's allocator residue.
+
+void release_free_heap() {
+#ifdef MMD_BENCH_HAS_MALLOC_TRIM
+  malloc_trim(0);
+#endif
+}
 
 /// Decompose rows (cold + ctx-warm) for one prebuilt instance.
 void bench_e12_decompose(const char* suite, const char* config, const Graph& g,
@@ -397,6 +412,7 @@ void bench_e12_decompose(const char* suite, const char* config, const Graph& g,
 /// Grid instance: one e12_build row (generator + GraphBuilder::build wall
 /// time, final graph bytes) and the decompose rows.
 void bench_e12_grid(const char* config, int side, int k, int reps) {
+  release_free_heap();
   Timer tb;
   const Graph g = make_grid_cube(2, side);
   Row build{"e12_build", config, side, g.num_vertices(), 0, "cold",
@@ -409,6 +425,7 @@ void bench_e12_grid(const char* config, int side, int k, int reps) {
 
 /// Triangulated mesh (bounded-degree planar, diagonals break gridness).
 void bench_e12_mesh(const char* config, int side, int k, int reps) {
+  release_free_heap();
   Timer tb;
   const Graph g = make_tri_mesh(side, side);
   Row build{"e12_build", config, side, g.num_vertices(), 0, "cold",
@@ -423,6 +440,7 @@ void bench_e12_mesh(const char* config, int side, int k, int reps) {
 /// it back (e12_read row: read + rebuild wall time), then decompose.
 void bench_e12_metis(const char* config, int side, int k, int reps,
                      const char* path) {
+  release_free_heap();
   {
     const Graph g = make_grid_cube(2, side);
     const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()),
