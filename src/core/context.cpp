@@ -96,8 +96,8 @@ DecomposeContext::~DecomposeContext() = default;
 void DecomposeContext::reconcile(const DecomposeOptions& options) {
   MMD_REQUIRE(options.num_threads >= 1, "num_threads must be >= 1");
   MMD_REQUIRE(options.fork_depth >= 0, "fork_depth must be >= 0");
-  // The sweep mode is runtime splitter state re-stamped below, not a
-  // structural property — changing it never forces a splitter rebuild.
+  // Only the splitter kind is structural; the stamped per-call state
+  // (sweep mode, fork depth, exec, diagnostics) never forces a rebuild.
   const bool splitter_stale =
       splitter_ == nullptr || options.splitter != options_.splitter;
   // A borrowed external pool overrides the num_threads ownership logic:
@@ -110,15 +110,12 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
                   stats_.pool_construct_failures);
   }
   if (splitter_stale) {
-    splitter_ = make_default_splitter(*g_, options);
+    splitter_ = make_default_splitter(*g_, options.splitter);
     ++stats_.splitter_builds;
   }
   if (splitter_stale || pool_stale) splitter_->set_thread_pool(thread_pool());
-  // Pure scheduling state: changing the lane-tree depth invalidates
-  // nothing (results are bit-identical for every value), so it is simply
-  // re-stamped on the splitter on every reconcile.
-  splitter_->set_fork_depth(options.fork_depth);
-  splitter_->set_sweep_mode(options.sweep_mode);
+  // Per-call state invalidates nothing, so it is simply re-stamped.
+  stamp_splitter(*splitter_, options);
   options_ = options;
   // Never cache a caller's prior pointer: it borrows storage that only has
   // to outlive the one call that carried it.  The context's own repartition

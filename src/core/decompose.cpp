@@ -15,9 +15,8 @@
 
 namespace mmd {
 
-namespace {
-
-std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind) {
+std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
+                                                 SplitterKind kind) {
   switch (kind) {
     case SplitterKind::Prefix:
       return std::make_unique<PrefixSplitter>();
@@ -36,22 +35,13 @@ std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind) {
   return std::make_unique<PrefixSplitter>();
 }
 
-}  // namespace
-
-std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
-                                                 SplitterKind kind) {
-  return build_splitter(g, kind);
-}
-
-std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
-                                                 const DecomposeOptions& options) {
-  std::unique_ptr<ISplitter> s = build_splitter(g, options.splitter);
-  // Stamp the sweep policy on the splitter itself, whatever its kind.
-  // (Historically the window rule was forwarded only into the prefix
-  // splitter's options, so the grid/composite — and every
-  // coordinate-driven — path silently dropped the request.)
-  s->set_sweep_mode(options.sweep_mode);
-  return s;
+void stamp_splitter(ISplitter& splitter, const DecomposeOptions& options) {
+  splitter.set_exec_control(options.exec);
+  // The sink goes on before the mode, so a splitter that cannot honor the
+  // mode reports it to this call's sink.
+  splitter.set_diagnostics(options.diagnostics);
+  splitter.set_fork_depth(options.fork_depth);
+  splitter.set_sweep_mode(options.sweep_mode);
 }
 
 std::size_t splitter_estimate_bytes(const Graph& g) {
@@ -82,6 +72,14 @@ double default_sigma_p(const Graph& g, double p) {
   return 2.0;
 }
 
+long count_migration(const Coloring& prior, const Coloring& now) {
+  long moved = 0;
+  const std::size_t n = std::min(prior.color.size(), now.color.size());
+  for (std::size_t v = 0; v < n; ++v)
+    if (prior.color[v] != now.color[v]) ++moved;
+  return moved;
+}
+
 namespace {
 
 PhaseReport report_phase(const Graph& g, std::span<const double> w,
@@ -95,28 +93,16 @@ PhaseReport report_phase(const Graph& g, std::span<const double> w,
   return rep;
 }
 
-}  // namespace
-
-long count_migration(const Coloring& prior, const Coloring& now) {
-  long moved = 0;
-  const std::size_t n = std::min(prior.color.size(), now.color.size());
-  for (std::size_t v = 0; v < n; ++v)
-    if (prior.color[v] != now.color[v]) ++moved;
-  return moved;
-}
-
-DecomposeResult decompose(const Graph& g, std::span<const double> w,
-                          const DecomposeOptions& options, ISplitter& splitter,
-                          DecomposeWorkspace* ws) {
-  MMD_REQUIRE(options.k >= 1, "k must be >= 1");
-  MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
-              "weight arity mismatch");
-  // Stamp the execution control and diagnostics sink on the splitter tree
-  // (they propagate to lanes), then checkpoint before doing any work: an
-  // already-expired deadline must throw here, not after a phase ran.
-  splitter.set_exec_control(options.exec);
-  splitter.set_diagnostics(options.diagnostics);
+/// The one Theorem 4 pipeline behind decompose() and decompose_multi():
+/// `extras` are the Conclusion's extra measures, balanced weakly in phase
+/// 1 and kept light in every part strictify moves (empty for decompose).
+/// The entry points have validated the inputs and stamped `splitter`.
+DecomposeResult run(const Graph& g, std::span<const double> w,
+                    std::span<const MeasureRef> extras,
+                    const DecomposeOptions& options, ISplitter& splitter,
+                    DecomposeWorkspace* ws) {
+  // Checkpoint before doing any work: an already-expired deadline must
+  // throw here, not after a phase ran.
   options.exec.check();
 
   if (options.prior != nullptr) {
@@ -128,7 +114,7 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     if (auto inc = try_incremental_repartition(g, w, options, ws)) return *inc;
     DecomposeOptions full = options;
     full.prior = nullptr;
-    DecomposeResult out = decompose(g, w, full, splitter, ws);
+    DecomposeResult out = run(g, w, extras, full, splitter, ws);
     out.escalated = true;
     out.migration_cost = count_migration(*options.prior->coloring, out.coloring);
     return out;
@@ -142,8 +128,8 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     paper.init = InitMethod::Paper;
     DecomposeOptions bisect = options;
     bisect.init = InitMethod::Bisection;
-    DecomposeResult a = decompose(g, w, paper, splitter, &wsr);
-    DecomposeResult b = decompose(g, w, bisect, splitter, &wsr);
+    DecomposeResult a = run(g, w, extras, paper, splitter, &wsr);
+    DecomposeResult b = run(g, w, extras, bisect, splitter, &wsr);
     // Both are strictly balanced (or throw); keep the cheaper boundary.
     return a.max_boundary <= b.max_boundary ? a : b;
   }
@@ -165,15 +151,17 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   if (options.init == InitMethod::Bisection) {
     chi = recursive_bisection_coloring(g, w, options.k, splitter);
   } else {
-    const std::vector<MeasureRef> user{MeasureRef(w)};
-    if (options.balance_boundary) {
-      chi = minmax_balance(g, options.k, pi, user, splitter, options.rebalance,
-                           nullptr, &wsr);
-    } else {
-      std::vector<MeasureRef> ms{MeasureRef(pi), MeasureRef(w)};
-      chi = multibalance(g, options.k, ms, splitter, options.rebalance,
-                         nullptr, &wsr);
-    }
+    // The user measures are w and the extras; without the Psi pass,
+    // plain Lemma 6 balances pi alongside them.
+    std::vector<MeasureRef> user;
+    if (!options.balance_boundary) user.push_back(MeasureRef(pi));
+    user.push_back(MeasureRef(w));
+    user.insert(user.end(), extras.begin(), extras.end());
+    chi = options.balance_boundary
+              ? minmax_balance(g, options.k, pi, user, splitter,
+                               options.rebalance, nullptr, &wsr)
+              : multibalance(g, options.k, user, splitter, options.rebalance,
+                             nullptr, &wsr);
   }
   out.phase_multibalance = report_phase(g, w, chi, phase_timer.seconds());
 
@@ -186,7 +174,7 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   if (options.use_strictify && options.k > 1 &&
       !balance_report(w, chi).almost_strictly_balanced) {
     chi = strictify_almost(g, chi, w, pi, splitter, options.strictify,
-                           nullptr, {}, &wsr);
+                           nullptr, extras, &wsr);
   }
   out.phase_strictify = report_phase(g, w, chi, phase_timer.seconds());
 
@@ -219,6 +207,26 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   return out;
 }
 
+/// Entry checks shared by decompose() and decompose_multi(), then the one
+/// stamp of `options` onto the splitter tree (propagated to its lanes).
+void enter(const Graph& g, std::span<const double> w,
+           const DecomposeOptions& options, ISplitter& splitter) {
+  MMD_REQUIRE(options.k >= 1, "k must be >= 1");
+  MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
+  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
+              "weight arity mismatch");
+  stamp_splitter(splitter, options);
+}
+
+}  // namespace
+
+DecomposeResult decompose(const Graph& g, std::span<const double> w,
+                          const DecomposeOptions& options, ISplitter& splitter,
+                          DecomposeWorkspace* ws) {
+  enter(g, w, options, splitter);
+  return run(g, w, {}, options, splitter, ws);
+}
+
 std::optional<DecomposeResult> try_incremental_repartition(
     const Graph& g, std::span<const double> w, const DecomposeOptions& options,
     DecomposeWorkspace* ws) {
@@ -240,12 +248,13 @@ std::optional<DecomposeResult> try_incremental_repartition(
       static_cast<Vertex>(pc.color.size()) != n || !pc.is_total())
     return std::nullopt;
 
-  // Balance certificate: the prior must still fit balance_headroom x the
+  // Balance certificate: the prior must still fit kBalanceHeadroom x the
   // Definition 1 window under the NEW weights, recomputed fresh (O(n)):
-  // with the default headroom of 1.0 every served incremental result is
-  // strictly balanced (refinement preserves it).
+  // with a headroom of 1.0 every served incremental result is strictly
+  // balanced (refinement preserves it).
+  constexpr double kBalanceHeadroom = 1.0;
   const BalanceReport pre = balance_report(w, pc);
-  if (pre.max_dev > options.incremental.balance_headroom * pre.strict_bound +
+  if (pre.max_dev > kBalanceHeadroom * pre.strict_bound +
                         1e-9 * std::max(1.0, pre.avg))
     return std::nullopt;
 
@@ -329,15 +338,11 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
                           DecomposeWorkspace* ws) {
   // A transient context: one splitter + pool build, torn down on return.
   // Callers that decompose the same graph repeatedly should hold a
-  // DecomposeContext instead and get this build cost exactly once.
+  // DecomposeContext instead and get this build cost exactly once.  The
+  // caller's options go to the splitter overload as given (the context
+  // would strip a prior from its cached copy).
   DecomposeContext ctx(g, options, ws);
-  if (options.prior != nullptr) {
-    // The context strips `prior` from its cached options (a borrowed
-    // pointer must not outlive this call), so route prior-bearing options
-    // through the splitter overload against the context's wired splitter.
-    return mmd::decompose(g, w, options, ctx.splitter(), &ctx.workspace());
-  }
-  return ctx.decompose(w);
+  return mmd::decompose(g, w, options, ctx.splitter(), &ctx.workspace());
 }
 
 MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi,
@@ -345,54 +350,29 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
                                      const DecomposeOptions& options,
                                      ISplitter& splitter,
                                      DecomposeWorkspace* ws) {
-  DecomposeWorkspace local_ws;
-  DecomposeWorkspace& wsr = ws ? *ws : local_ws;
-  MMD_REQUIRE(options.k >= 1, "k must be >= 1");
-  MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
-  MMD_REQUIRE(static_cast<Vertex>(psi.size()) == g.num_vertices(),
-              "psi arity mismatch");
   for (const MeasureRef& m : extra_measures)
     MMD_REQUIRE(static_cast<Vertex>(m.size()) == g.num_vertices(),
                 "extra measure arity mismatch");
-  splitter.set_exec_control(options.exec);
-  splitter.set_diagnostics(options.diagnostics);
-  options.exec.check();
+  if (!extra_measures.empty()) {
+    // Neither the bisection warm start nor seeded refinement balances the
+    // extra measures, so neither may stand in for Proposition 7.
+    MMD_REQUIRE(options.init == InitMethod::Paper,
+                "decompose_multi with extra measures requires init=Paper");
+    MMD_REQUIRE(options.prior == nullptr,
+                "decompose_multi with extra measures takes no prior");
+  }
+  enter(g, psi, options, splitter);
+  DecomposeResult r = run(g, psi, extra_measures, options, splitter, ws);
 
   MultiDecomposeResult out;
-  out.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
-                                      : default_sigma_p(g, options.p);
-  out.bound = theorem4_bound(g, options.p, out.sigma_p, options.k);
-  const std::vector<double> pi =
-      splitting_cost_measure(g, options.p, out.sigma_p);
-
-  // Proposition 7 with the user measures (psi, Phi(1..r)).
-  std::vector<MeasureRef> user;
-  user.reserve(extra_measures.size() + 1);
-  user.push_back(psi);
-  user.insert(user.end(), extra_measures.begin(), extra_measures.end());
-  Coloring chi = minmax_balance(g, options.k, pi, user, splitter,
-                                options.rebalance, nullptr, &wsr);
-
-  // Strictify psi while keeping the extra measures light in moved parts.
-  if (options.use_strictify && options.k > 1)
-    chi = strictify_almost(g, chi, psi, pi, splitter, options.strictify,
-                           nullptr, extra_measures, &wsr);
-  if (options.use_binpack2 && options.k > 1)
-    chi = binpack2(g, chi, psi, splitter, nullptr, &wsr);
-  if (options.use_refinement && options.use_binpack2 && options.k > 1) {
-    options.exec.check();
-    MinmaxRefineOptions refine = options.refine;
-    refine.exec = options.exec;
-    minmax_refine(g, chi, psi, refine, &wsr.refine);
-  }
-
-  out.coloring = std::move(chi);
-  out.psi_balance = balance_report(psi, out.coloring);
+  out.coloring = std::move(r.coloring);
+  out.psi_balance = r.balance;
   for (const MeasureRef& m : extra_measures)
     out.weak_factors.push_back(weak_balance_factor(m, out.coloring));
-  const auto bc = class_boundary_costs(g, out.coloring);
-  out.max_boundary = norm_inf(bc);
-  out.avg_boundary = norm1(bc) / options.k;
+  out.max_boundary = r.max_boundary;
+  out.avg_boundary = r.avg_boundary;
+  out.bound = r.bound;
+  out.sigma_p = r.sigma_p;
   return out;
 }
 
@@ -401,7 +381,8 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
                                      const DecomposeOptions& options,
                                      DecomposeWorkspace* ws) {
   DecomposeContext ctx(g, options, ws);
-  return ctx.decompose_multi(psi, extra_measures);
+  return decompose_multi(g, psi, extra_measures, options, ctx.splitter(),
+                         &ctx.workspace());
 }
 
 }  // namespace mmd

@@ -75,12 +75,10 @@ struct PriorSolution {
 
 /// Escalation certificate of the incremental repartition path: when any
 /// threshold is exceeded the prior is abandoned and decompose() falls back
-/// to a full re-decompose (DecomposeResult::escalated).
+/// to a full re-decompose (DecomposeResult::escalated).  The prior must
+/// also still fit the Definition 1 window under the new weights, so a
+/// served incremental result is always strictly balanced.
 struct IncrementalOptions {
-  /// The prior must still fit `balance_headroom` x the Definition 1 window
-  /// under the new weights; 1.0 = the strict window itself, so the
-  /// incremental result is strictly balanced whenever it is served.
-  double balance_headroom = 1.0;
   /// Escalate when the incremental max boundary exceeds this multiple of
   /// PriorSolution::baseline_max_boundary.  Defensive envelope: boundary
   /// cost is weight-independent and refinement is monotone, so along an
@@ -112,26 +110,23 @@ struct DecomposeOptions {
   /// a transient context) own a persistent ThreadPool wired into the
   /// splitter.  Results are bit-identical for every value: candidates are
   /// index-addressed and reduced in index order (see ISplitter contract).
-  /// The overloads taking an external ISplitter& ignore this knob — wire a
-  /// pool into the splitter yourself via ISplitter::set_thread_pool.
+  /// The one option the overloads taking an external ISplitter& ignore —
+  /// the pool is its owner's job: wire one into the splitter yourself via
+  /// ISplitter::set_thread_pool.
   int num_threads = 1;
   /// Depth of multi_split's fork-join lane tree: the top fork_depth levels
   /// of the Lemma 8 recursion run as parallel batches over 2^fork_depth
   /// splitter lanes.  0 (default) derives the depth from the pool — the
   /// smallest tree with at least num_threads leaves, so 4/8 lanes on 4/8
   /// threads; explicit values are clamped to the recursion height and to
-  /// a hard depth cap of 6 (64 lanes).  Only
-  /// effective with a pool (num_threads > 1); results are bit-identical
-  /// for every value (index-addressed lanes, index-order reduction).  Like
-  /// num_threads, ignored by the overloads taking an external ISplitter&
-  /// (call ISplitter::set_fork_depth yourself).
+  /// a hard depth cap of 6 (64 lanes).  Only effective with a pool;
+  /// results are bit-identical for every value (index-addressed lanes,
+  /// index-order reduction).  Stamped onto the splitter per call (see
+  /// stamp_splitter).
   int fork_depth = 0;
-  /// Prefix-choice rule stamped onto the splitter for this call (the
-  /// contexts re-stamp per call, like fork_depth): the seed's
-  /// better-of-two rule (default, bit-identical to the seed path) or the
-  /// paper-faithful WindowMin.  Ignored by the overloads taking an
-  /// external ISplitter& (stamp the splitter yourself via
-  /// ISplitter::set_sweep_mode).
+  /// Prefix-choice rule stamped onto the splitter per call (see
+  /// stamp_splitter): the seed's better-of-two rule (default,
+  /// bit-identical to the seed path) or the paper-faithful WindowMin.
   SweepMode sweep_mode = SweepMode::BetterOfTwo;
 
   // Ablation switches (benches E5/E7 study their effect).
@@ -204,17 +199,18 @@ struct DecomposeResult {
 ///
 /// \param g        host graph (borrowed)
 /// \param w        vertex weights, one per vertex of g
-/// \param options  pipeline knobs; this overload builds no pool of its
-///                 own (that is DecomposeContext's job, and the
-///                 convenience overload below, decompose_fast, and
-///                 FastContext all route through one), so
-///                 options.num_threads has no effect here — wire a pool
-///                 into `splitter` yourself via ISplitter::set_thread_pool
-///                 and every pool-aware phase (splitter candidates,
-///                 composite children, multi_split's lane tree)
-///                 picks it up from the splitter
-/// \param splitter splitting-set engine; its scratch stays warm across
-///                 calls, which is the main reason to own one
+/// \param options  pipeline knobs, all honored except num_threads: this
+///                 overload builds no pool of its own (that is
+///                 DecomposeContext's job, and the convenience overload
+///                 below, decompose_fast, and FastContext all route
+///                 through one) — wire a pool into `splitter` yourself via
+///                 ISplitter::set_thread_pool and every pool-aware phase
+///                 (splitter candidates, composite children, multi_split's
+///                 lane tree) picks it up from the splitter
+/// \param splitter splitting-set engine, stamped on entry with the
+///                 options' per-call state (stamp_splitter); its scratch
+///                 stays warm across calls, which is the main reason to
+///                 own one
 /// \param ws       optional scratch arenas lent to every phase; reusing
 ///                 one workspace across repeated calls makes the
 ///                 steady-state hot path allocation-free
@@ -249,10 +245,10 @@ std::optional<DecomposeResult> try_incremental_repartition(
 /// migration_cost of a repartition step).
 long count_migration(const Coloring& prior, const Coloring& now);
 
-/// The multi-balanced variant of Theorem 4 (Conclusion): a k-coloring that
-/// is strictly balanced w.r.t. `psi`, weakly balanced w.r.t. every extra
-/// measure (max class measure = O(avg + max)), with the same maximum
-/// boundary cost bound.
+/// What decompose_multi returns: the multi-balanced variant of Theorem 4
+/// (Conclusion), a k-coloring that is strictly balanced w.r.t. `psi`,
+/// weakly balanced w.r.t. every extra measure (max class measure =
+/// O(avg + max)), with the same maximum boundary cost bound.
 struct MultiDecomposeResult {
   Coloring coloring;                   ///< strictly psi-balanced k-coloring
   BalanceReport psi_balance;           ///< strict, per Definition 1
@@ -264,27 +260,41 @@ struct MultiDecomposeResult {
   double sigma_p = 0.0;                ///< value used
 };
 
+/// The multi-balanced variant: decompose()'s own pipeline with the extra
+/// measures carried through Propositions 7 and 11 — balanced weakly in
+/// phase 1 alongside `psi` (and pi), and kept light in every part
+/// strictify moves.  Every option is honored as decompose() honors it
+/// (num_threads only by the overload without a splitter).  With extra
+/// measures, an init other than InitMethod::Paper and a non-null prior
+/// throw std::invalid_argument: neither the bisection warm start nor
+/// seeded refinement can balance them.  With none, the coloring equals
+/// decompose(g, psi, options)'s for every init.
+/// \throws std::invalid_argument on arity mismatches or the rejected
+///         options above
 MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi,
                                      std::span<const MeasureRef> extra_measures,
                                      const DecomposeOptions& options,
                                      DecomposeWorkspace* ws = nullptr);
 
+/// decompose_multi with an externally provided splitter, stamped on entry
+/// like decompose()'s.
 MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi,
                                      std::span<const MeasureRef> extra_measures,
                                      const DecomposeOptions& options,
                                      ISplitter& splitter,
                                      DecomposeWorkspace* ws = nullptr);
 
-/// The splitter decompose() would construct for this graph and options.
+/// The splitter decompose() would construct for this graph and kind.
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  SplitterKind kind);
 
-/// Options-aware variant: stamps options.sweep_mode onto the built
-/// splitter — every kind, not just PrefixSplitter, which is how the
-/// historical window-rule drop on the geometric/grid paths was fixed.  The
-/// kind-only overload above keeps the default rule.
-std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
-                                                 const DecomposeOptions& options);
+/// The one mapping of options onto splitter state: stamps options.exec,
+/// options.diagnostics, options.fork_depth and options.sweep_mode onto
+/// `splitter` (propagated to its lanes and composite children), the sink
+/// before the mode so an unsupported-mode report reaches it.  decompose()
+/// and decompose_multi() call it on entry and the contexts on reconcile;
+/// the thread pool stays its owner's job (ISplitter::set_thread_pool).
+void stamp_splitter(ISplitter& splitter, const DecomposeOptions& options);
 
 /// Estimated heap footprint of a warm default splitter for `g`: the
 /// OrderingCache's global orders plus the lane-private scratch.  A

@@ -107,15 +107,11 @@ ISplitter& FastContext::fine_splitter() {
   // graph already — reuse its splitter instead of building a twin.
   if (levels_.empty()) return coarse_ctx_->splitter();
   if (fine_splitter_ == nullptr) {
-    fine_splitter_ = make_default_splitter(*g_, options_.inner);
+    fine_splitter_ = make_default_splitter(*g_, options_.inner.splitter);
     fine_splitter_->set_thread_pool(pool_.get());
     ++stats_.fine_splitter_builds;
   }
-  fine_splitter_->set_fork_depth(options_.inner.fork_depth);
-  // Re-stamped per call like fork_depth: all of these are per-call state.
-  fine_splitter_->set_exec_control(options_.inner.exec);
-  fine_splitter_->set_diagnostics(options_.inner.diagnostics);
-  fine_splitter_->set_sweep_mode(options_.inner.sweep_mode);
+  stamp_splitter(*fine_splitter_, options_.inner);  // per-call state
   return *fine_splitter_;
 }
 

@@ -25,10 +25,6 @@
 #include "core/decompose.hpp"
 #include "core/verify.hpp"
 
-// Feature probe for sources (tools/bench_runner.cpp) that also compile
-// against trees predating the warm multilevel path.
-#define MMD_HAS_FAST_CONTEXT 1
-
 namespace mmd {
 
 struct FastOptions {

@@ -80,7 +80,8 @@ Coloring rebalance(const Graph& g, const Coloring& chi,
     return -1;
   };
 
-  const int max_moves = options.max_moves_factor * k + 64;
+  constexpr int kMaxMovesFactor = 64;  // safety cap on Move executions
+  const int max_moves = kMaxMovesFactor * k + 64;
   while (!pending.empty()) {
     const int i = pending.back();
     pending.pop_back();

@@ -34,7 +34,6 @@ struct RebalanceOptions {
   /// 2^r; both are configurable for the ablation bench.
   double heavy_avg_factor = 3.0;
   bool paper_max_factor = true;  ///< use 2^r (else 1.0) for the max term
-  int max_moves_factor = 64;     ///< safety cap: max moves = factor * k + 64
 };
 
 /// Lemma 9.  `chi` must be a total k-coloring of the whole graph; the

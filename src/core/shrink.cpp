@@ -73,8 +73,10 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
   std::vector<double> cw(static_cast<std::size_t>(k), 0.0);
   for (int i = 0; i < k; ++i) cw[static_cast<std::size_t>(i)] = set_measure(w, cls[static_cast<std::size_t>(i)]);
 
-  // Raise M if the input is more unbalanced than the caller promised.
-  double big_m = params.M;
+  // The weak-balance factor M the input is assumed to meet, raised to fit
+  // an input that misses it.
+  constexpr double kWeakBalanceM = 8.0;
+  double big_m = kWeakBalanceM;
   for (double x : cw) big_m = std::max(big_m, 2.0 * x / psi_star + 1.0);
 
   ShrinkOutput out;

@@ -25,7 +25,6 @@ namespace mmd {
 
 struct ShrinkParams {
   double eps = 0.35;  ///< part size as a fraction of the average class weight
-  double M = 8.0;     ///< weak-balance multiplier (raised to fit the input)
 };
 
 struct ShrinkOutput {

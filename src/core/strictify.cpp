@@ -28,8 +28,9 @@ struct Rec {
     const double avg = total / k;
     const double wmax = set_measure_max(w, w_list);
 
+    constexpr int kMaxDepth = 64;  // recursion cap
     const bool base_case =
-        depth >= params.max_depth || total <= 0.0 ||
+        depth >= kMaxDepth || total <= 0.0 ||
         wmax > params.base_eps * avg ||
         static_cast<int>(w_list.size()) <=
             params.min_vertices_factor * k;

@@ -32,7 +32,6 @@ struct StrictifyParams {
   double base_eps = 0.05;
   /// Base case: stop recursing when |W| <= min_vertices_factor * k.
   int min_vertices_factor = 8;
-  int max_depth = 64;
 };
 
 struct StrictifyStats {

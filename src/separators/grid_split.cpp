@@ -286,7 +286,7 @@ class GridSplitRec {
     // internally synchronized and the query takes the owning splitter's
     // radix scratch, so lanes sharing this cache stay race-free.
     cache_.bind(g_);
-    cache_.subset_order(/*lexicographic=*/0, verts, nullptr, order, &radix_);
+    cache_.subset_order(/*lexicographic=*/0, verts, nullptr, order, radix_);
     if (mode_ == SweepMode::BetterOfTwo) {
       order.resize(best_prefix(order, weights_, target, total));
       return order;

@@ -376,7 +376,7 @@ void OrderingCache::rebind(const Graph& g) {
 void OrderingCache::subset_order(int idx, std::span<const Vertex> w_list,
                                  const Membership* in_w,
                                  std::vector<Vertex>& out,
-                                 OrderingScratch* scratch) const {
+                                 OrderingScratch& sc) const {
   MMD_REQUIRE(g_.load(std::memory_order_acquire) != nullptr && idx >= 0 &&
                   idx < num_orders_,
               "ordering cache not bound / index out of range");
@@ -403,7 +403,6 @@ void OrderingCache::subset_order(int idx, std::span<const Vertex> w_list,
     // Gather the 32-bit ranks once (one random load per element), then
     // radix them: ranks are unique, so the stable sort is the restriction
     // of the cached order.
-    OrderingScratch& sc = scratch ? *scratch : scratch_;
     sc.key32.resize(std::max(sc.key32.size(), s));
     sc.buf32.resize(std::max(sc.buf32.size(), s));
     sc.vbuf.resize(std::max(sc.vbuf.size(), s));
@@ -421,7 +420,7 @@ void OrderingCache::subset_order(int idx, std::span<const Vertex> w_list,
 
 void OrderingCache::subset_morton_order(std::span<const Vertex> w_list,
                                         std::vector<Vertex>& out,
-                                        OrderingScratch* scratch) const {
+                                        OrderingScratch& sc) const {
   const Graph* bound = g_.load(std::memory_order_acquire);
   MMD_REQUIRE(bound != nullptr && bound->has_coords(),
               "ordering cache not bound to a coordinate graph");
@@ -433,7 +432,6 @@ void OrderingCache::subset_morton_order(std::span<const Vertex> w_list,
   }
   // Exact interleaved keys, radix-sorted over the bytes on which they
   // differ; a 3-D box too wide for 21 bits per axis takes the comparator.
-  OrderingScratch& sc = scratch ? *scratch : scratch_;
   const std::size_t s = w_list.size();
   sc.key.resize(std::max(sc.key.size(), s));
   if (!(dim == 2 ? morton_keys<2>(g, w_list, sc.key.data())

@@ -49,10 +49,10 @@ void pseudo_peripheral_bfs_order_into(const Graph& g,
                                       BfsScratch& scratch,
                                       std::vector<Vertex>& out);
 
-/// Radix-sort scratch used by OrderingCache's subset queries.  The cache
-/// owns one instance for the serial path; concurrent queries (the thread
-/// pool evaluating several sweep orders of one split at once) must each
-/// pass their own.
+/// Radix-sort scratch of OrderingCache's subset queries, owned by the
+/// caller: lanes share one cache, so concurrent queries (the thread pool
+/// evaluating several sweep orders of one split at once) each pass their
+/// own.
 struct OrderingScratch {
   // 64-bit interleaved Morton keys (subset_morton_order, 2-D and 3-D).
   std::vector<std::uint64_t> key, buf;
@@ -111,11 +111,11 @@ class OrderingCache {
   /// Restriction of cached order `idx` to w_list, into `out` (overwritten).
   /// When `in_w` is non-null it must represent exactly w_list; large
   /// subsets are then gathered by one scan of the cached global order
-  /// instead of a sort.  `scratch` (optional) substitutes the cache's own
-  /// radix buffers — required for concurrent callers.
+  /// instead of a sort.  `scratch` holds the radix buffers; concurrent
+  /// callers pass distinct ones.
   void subset_order(int idx, std::span<const Vertex> w_list,
                     const Membership* in_w, std::vector<Vertex>& out,
-                    OrderingScratch* scratch = nullptr) const;
+                    OrderingScratch& scratch) const;
 
   /// Morton (Z-curve) order of w_list anchored at its own bounding box —
   /// the same curve as morton_order(g, w_list), computed with interleaved
@@ -127,7 +127,7 @@ class OrderingCache {
   /// nothing.  `scratch` as in subset_order.
   void subset_morton_order(std::span<const Vertex> w_list,
                            std::vector<Vertex>& out,
-                           OrderingScratch* scratch = nullptr) const;
+                           OrderingScratch& scratch) const;
 
  private:
   void rebind(const Graph& g);
@@ -142,9 +142,6 @@ class OrderingCache {
   int num_orders_ = 0;
   std::vector<Vertex> perm_;        // num_orders blocks of n (sorted order)
   std::vector<std::int32_t> rank_;  // num_orders blocks of n (inverse perm)
-  // Radix scratch for the serial (scratch == nullptr) subset queries.
-  // Concurrent lane callers must pass their own scratch instead.
-  mutable OrderingScratch scratch_;
 };
 
 }  // namespace mmd

@@ -37,10 +37,8 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
     // Same sweep family as the seed: lexicographic, per-axis (cached
     // global orders restricted to W), and — in dimension >= 2, where it
     // differs from lexicographic — Morton anchored at W's bounding box.
-    int sweeps = cache_->num_orders() + (g.dim() >= 2 ? 1 : 0);
-    if (options_.max_sweeps > 0) sweeps = std::min(sweeps, options_.max_sweeps);
-    morton = sweeps > cache_->num_orders();
-    num_sweeps = std::min(sweeps, cache_->num_orders());
+    num_sweeps = cache_->num_orders();
+    morton = g.dim() >= 2;
   }
   const int candidates =
       (options_.use_bfs ? 1 : 0) + num_sweeps + (morton ? 1 : 0);
@@ -80,15 +78,13 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
                                        slot0.order);
       consider(slot0.order);
     }
-    // The cache may be shared with concurrently splitting lanes, so this
-    // instance always passes its own radix scratch.
     for (int idx = 0; idx < num_sweeps; ++idx) {
       cache_->subset_order(idx, request.w_list, &in_w_, slot0.order,
-                           &slot0.radix);
+                           slot0.radix);
       consider(slot0.order);
     }
     if (morton) {
-      cache_->subset_morton_order(request.w_list, slot0.order, &slot0.radix);
+      cache_->subset_morton_order(request.w_list, slot0.order, slot0.radix);
       consider(slot0.order);
     }
     if (!have_best) {  // coordinate-free fallback: id order
@@ -98,8 +94,9 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
 
   if (options_.refine && !best.inside.empty() &&
       best.inside.size() < request.w_list.size()) {
+    constexpr int kFmMaxPasses = 3;
     FmOptions fm;
-    fm.max_passes = options_.fm_max_passes;
+    fm.max_passes = kFmMaxPasses;
     fm_refine_split(g, request.w_list, request.weights, request.target, best,
                     fm, in_w_, slot0.in_u, stats);
   }
@@ -129,9 +126,9 @@ SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
                                        slot.order);
     } else if (i - bfs < num_sweeps) {
       cache_->subset_order(i - bfs, request.w_list, &in_w_, slot.order,
-                           &slot.radix);
+                           slot.radix);
     } else {
-      cache_->subset_morton_order(request.w_list, slot.order, &slot.radix);
+      cache_->subset_morton_order(request.w_list, slot.order, slot.radix);
     }
     slot.in_u.ensure(g.num_vertices());
     slot.res = slot.sweep.eval(g, slot.order, request.weights, request.target,

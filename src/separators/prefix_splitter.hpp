@@ -26,11 +26,7 @@ namespace mmd {
 struct PrefixSplitterOptions {
   bool use_bfs = true;
   bool use_coordinate_sweeps = true;  ///< lex + per-axis + Morton if coords
-  /// Cap on the number of coordinate sweep orders tried per split (in the
-  /// order lex, axes, Morton); <= 0 means all of them.
-  int max_sweeps = 0;
   bool refine = true;                 ///< FM local refinement pass
-  int fm_max_passes = 3;
 };
 
 class PrefixSplitter final : public ISplitter {
@@ -95,8 +91,7 @@ class PrefixSplitter final : public ISplitter {
   // order buffers persist across splits so the steady-state per-split cost
   // is O(|W| log |W|), independent of |V|.  The cache is shared with lanes
   // (read-only after bind); every other member is lane-private — including
-  // each slot's radix scratch, which this instance passes to the shared
-  // cache so concurrent lanes never touch the cache's internal buffers.
+  // each slot's radix scratch for the shared cache's subset queries.
   std::shared_ptr<OrderingCache> cache_;
   Membership in_w_;
   std::vector<std::unique_ptr<EvalSlot>> slots_;

@@ -115,8 +115,9 @@ class ISplitter {
   /// clamped there to the recursion height and a hard cap of 6 (64
   /// lanes).  Stored here — like the pool —
   /// so the phases between splits reach it without plumbing an options
-  /// struct through every recursive call chain.  Purely a scheduling knob:
-  /// results are bit-identical for every value.
+  /// struct through every recursive call chain; stamped per call from
+  /// DecomposeOptions::fork_depth by stamp_splitter (core/decompose.hpp).
+  /// Purely a scheduling knob: results are bit-identical for every value.
   void set_fork_depth(int depth) { fork_depth_ = depth; }
   int fork_depth() const { return fork_depth_; }
 
@@ -124,22 +125,24 @@ class ISplitter {
   /// candidate boundaries of splitters that have them).  Stored by value —
   /// ExecControl is a (time_point, token pointer) pair — and propagated to
   /// existing and future lanes, so a deadline armed on the parent bounds
-  /// the whole lane tree.  Stamped per call by decompose()/the contexts;
-  /// like the pool, phases between splits (multi_split's batch edges)
+  /// the whole lane tree.  Stamped per call by stamp_splitter
+  /// (core/decompose.hpp), which decompose() and the contexts run; like
+  /// the pool, phases between splits (multi_split's batch edges)
   /// reach it through the splitter instead of plumbing options through
   /// every recursion.
   void set_exec_control(const ExecControl& exec);
   const ExecControl& exec_control() const { return exec_; }
 
   /// Borrowed diagnostics sink (nullptr = count nowhere); propagated to
-  /// lanes like the exec control.  See util/diagnostics.hpp.
+  /// lanes and stamped by stamp_splitter like the exec control.  See
+  /// util/diagnostics.hpp.
   void set_diagnostics(DecomposeDiagnostics* diag);
   DecomposeDiagnostics* diagnostics() const { return diag_; }
 
   /// Prefix-choice rule for the sweep evaluations this splitter runs (see
   /// SweepMode in sweep_eval.hpp).  Runtime state like the fork depth —
-  /// stored here, propagated to existing and future lanes, re-stamped per
-  /// call by the contexts — so every sweep consumer (prefix candidates,
+  /// stored here, propagated to existing and future lanes, stamped per
+  /// call by stamp_splitter — so every sweep consumer (prefix candidates,
   /// geometric sweeps, the grid splitter's trivial level, composite
   /// children) honors one setting without options plumbing.  Stamping a
   /// non-default mode onto a splitter whose supports_sweep_mode rejects it

@@ -3,7 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 
 namespace mmd::jsonl {
 namespace {
@@ -304,10 +306,13 @@ bool parse_pair_list(const std::string& s,
     const char* const tok = p;
     long idx = 0;
     auto [ip, iec] = std::from_chars(p, end, idx);
-    if (iec != std::errc() || ip == end || *ip != ':' || idx < 0) {
+    // Callers cast the index to the 32-bit Vertex, so anything wider must
+    // be refused here rather than wrap onto a real vertex.
+    if (iec != std::errc() || ip == end || *ip != ':' || idx < 0 ||
+        idx > std::numeric_limits<std::int32_t>::max()) {
       error = "malformed delta pair at offset " +
               std::to_string(tok - s.data()) +
-              " (expected '<index>:<weight>' with a non-negative index)";
+              " (expected '<index>:<weight>' with an index in [0, 2^31 - 1])";
       return false;
     }
     p = ip + 1;

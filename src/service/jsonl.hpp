@@ -77,8 +77,9 @@ bool has(const Object& o, const std::string& key);
 /// encoding of weight deltas ("0:2.5 17:0.75"), carried inside a JSON
 /// string because this protocol rejects arrays.  Appends nothing on
 /// failure; an empty or whitespace-only input is a valid empty list.
-/// Rejects negative indices, non-finite or negative values, and any
-/// malformed pair, with a human-readable message in `error`.
+/// Rejects indices outside [0, 2^31 - 1] (every index fits a Vertex),
+/// non-finite or negative values, and any malformed pair, with a
+/// human-readable message in `error`.
 bool parse_pair_list(const std::string& s,
                      std::vector<std::pair<long, double>>& out,
                      std::string& error);

@@ -172,8 +172,9 @@ check "--fast --repartition is bad usage" 2 $?
 
 # 14. --serve repartition op: first call binds the chain (full solve,
 #     migration_cost -1), a delta follow-up answers with the incremental
-#     fields, a missing k is bad_request, unknown graph is not_found;
-#     the session survives all of it and EOF exits 0.
+#     fields, a missing k is bad_request, unknown graph is not_found, a
+#     delta index past 2^31 - 1 is bad_request (not wrapped onto vertex
+#     0); the server survives all of it and EOF exits 0.
 rep_out="$tmp/serve_rep.out"
 {
   echo '{"op":"load","graph":"g","path":"'"$good"'"}'
@@ -182,6 +183,7 @@ rep_out="$tmp/serve_rep.out"
   echo '{"op":"repartition","graph":"g","deltas":"0:1.0"}'
   echo '{"op":"repartition","graph":"nope","k":3}'
   echo '{"op":"repartition","graph":"g","k":3,"deltas":"0:bogus"}'
+  echo '{"op":"repartition","graph":"g","k":3,"deltas":"4294967296:50"}'
 } | "$bin" --serve > "$rep_out"
 check "--serve repartition session, EOF exit" 0 $?
 
@@ -200,6 +202,7 @@ expect_rep "follow-up carries chain fields" 3 '"incremental":'
 expect_rep "missing k rejected" 4 '"status":"bad_request"'
 expect_rep "unknown graph" 5 '"status":"not_found"'
 expect_rep "bogus deltas rejected" 6 '"status":"bad_request"'
+expect_rep "delta index 2^32 rejected" 7 '"status":"bad_request"'
 
 # 15. --mem-stats prints the graph/workspace/context byte breakdown even
 #     under --quiet, with a non-zero graph footprint.

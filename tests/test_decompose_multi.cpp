@@ -37,17 +37,49 @@ TEST(DecomposeMulti, AllThreeGuaranteesOnGrid) {
 }
 
 TEST(DecomposeMulti, MatchesPlainDecomposeWithoutExtras) {
+  // One pipeline: without extra measures decompose_multi is decompose,
+  // bit for bit, under every init and with the Psi pass ablated.
   const Graph g = make_grid_cube(2, 16);
   const auto psi = testing::weights_for(g, WeightModel::Uniform, 11);
+  for (const InitMethod init :
+       {InitMethod::Paper, InitMethod::Bisection, InitMethod::Best}) {
+    for (const bool balance_boundary : {true, false}) {
+      DecomposeOptions opt;
+      opt.k = 6;
+      opt.init = init;
+      opt.balance_boundary = balance_boundary;
+      SCOPED_TRACE("init " + std::to_string(static_cast<int>(init)) +
+                   " balance_boundary " + std::to_string(balance_boundary));
+      const MultiDecomposeResult multi = decompose_multi(g, psi, {}, opt);
+      const DecomposeResult plain = decompose(g, psi, opt);
+      EXPECT_TRUE(multi.psi_balance.strictly_balanced);
+      EXPECT_EQ(multi.coloring.color, plain.coloring.color);
+      EXPECT_EQ(multi.max_boundary, plain.max_boundary);
+    }
+  }
+}
+
+TEST(DecomposeMulti, ExtrasRejectOptionsThatCannotBalanceThem) {
+  // Bisection and seeded refinement balance psi only, so with extra
+  // measures they are refused instead of silently replaced by Paper.
+  const Graph g = make_grid_cube(2, 8);
+  const auto psi = testing::weights_for(g, WeightModel::Uniform, 3);
+  const auto phi = testing::weights_for(g, WeightModel::Zipf, 5);
+  const std::vector<MeasureRef> extra{MeasureRef(phi)};
+  for (const InitMethod init : {InitMethod::Bisection, InitMethod::Best}) {
+    DecomposeOptions opt;
+    opt.k = 4;
+    opt.init = init;
+    EXPECT_THROW(decompose_multi(g, psi, extra, opt), std::invalid_argument)
+        << static_cast<int>(init);
+  }
   DecomposeOptions opt;
-  opt.k = 6;
-  const MultiDecomposeResult multi = decompose_multi(g, psi, {}, opt);
-  const DecomposeResult plain = decompose(g, psi, opt);
-  EXPECT_TRUE(multi.psi_balance.strictly_balanced);
-  // Same pipeline modulo the (empty) extra-measure plumbing: costs agree
-  // within a small factor.
-  EXPECT_LE(multi.max_boundary, 2.0 * plain.max_boundary + 1e-9);
-  EXPECT_LE(plain.max_boundary, 2.0 * multi.max_boundary + 1e-9);
+  opt.k = 4;
+  const DecomposeResult base = decompose(g, psi, opt);
+  PriorSolution prior;
+  prior.coloring = &base.coloring;
+  opt.prior = &prior;
+  EXPECT_THROW(decompose_multi(g, psi, extra, opt), std::invalid_argument);
 }
 
 TEST(DecomposeMulti, ClimateComputePlusMemoryScenario) {

@@ -209,7 +209,7 @@ TEST(JsonlFuzz, PairListRejectsMalformedPairsAppendingNothing) {
   for (const char* bad :
        {"x", "1", "1:", ":5", "-1:2", "1:-2", "1:inf", "1:nan", "1:1e999",
         "1:2x", "1:2:3", "1.5:2", "0:1 zz", "0:1 2:", "0:1 -3:4",
-        "99999999999999999999:1"}) {
+        "99999999999999999999:1", "2147483648:1", "4294967296:1"}) {
     std::vector<std::pair<long, double>> out{{7, 7.0}};
     std::string error;
     EXPECT_FALSE(parse_pair_list(bad, out, error)) << bad;
@@ -237,6 +237,7 @@ TEST(JsonlFuzz, PairListRandomSoupNeverCrashes) {
     if (parse_pair_list(s, out, error)) {
       for (const auto& [idx, val] : out) {
         EXPECT_GE(idx, 0) << s;
+        EXPECT_LE(idx, 2147483647L) << s;
         EXPECT_TRUE(std::isfinite(val) && val >= 0.0) << s;
       }
     } else {

@@ -162,16 +162,17 @@ std::array<std::vector<Vertex>, 3> w_list_orders(std::vector<Vertex> ids,
 }
 
 /// subset_morton_order == morton_order on every w_list order of ids, with
-/// both the caller's scratch and the cache's own.
+/// a fresh scratch and with one left warm by the calls before.
 void expect_matches_reference(const OrderingCache& cache, const Graph& g,
                               const std::vector<Vertex>& ids, Rng& rng) {
-  OrderingScratch scratch;
+  OrderingScratch warm;
   std::vector<Vertex> out;
   for (const auto& w_list : w_list_orders(ids, rng)) {
     const std::vector<Vertex> want = morton_order(g, w_list);
-    cache.subset_morton_order(w_list, out, &scratch);
+    OrderingScratch fresh;
+    cache.subset_morton_order(w_list, out, fresh);
     EXPECT_EQ(out, want) << "|W| = " << w_list.size();
-    cache.subset_morton_order(w_list, out);
+    cache.subset_morton_order(w_list, out, warm);
     EXPECT_EQ(out, want) << "|W| = " << w_list.size();
   }
 }
@@ -232,7 +233,8 @@ TEST(OrderingCacheMorton, RepeatedNegativeCoordsBreakTiesById) {
 
   // Independently of the reference: equal positions appear in id order.
   std::vector<Vertex> w_list(all.rbegin(), all.rend()), out;
-  cache.subset_morton_order(w_list, out);
+  OrderingScratch scratch;
+  cache.subset_morton_order(w_list, out, scratch);
   ASSERT_TRUE(is_permutation_of(out, all));
   for (std::size_t i = 1; i < out.size(); ++i) {
     const auto a = g.coords(out[i - 1]);

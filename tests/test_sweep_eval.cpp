@@ -172,16 +172,17 @@ TEST(SweepEval, DefaultSplitMatchesManualRecomputeLoop) {
     std::vector<std::vector<Vertex>> orders;
     orders.push_back(pseudo_peripheral_bfs_order(g, vs, in_w));
     OrderingCache cache;
+    OrderingScratch scratch;
     if (g.has_coords()) {
       cache.bind(g);
       for (int idx = 0; idx < cache.num_orders(); ++idx) {
         std::vector<Vertex> order;
-        cache.subset_order(idx, vs, &in_w, order);
+        cache.subset_order(idx, vs, &in_w, order, scratch);
         orders.push_back(std::move(order));
       }
       if (g.dim() >= 2) {
         std::vector<Vertex> order;
-        cache.subset_morton_order(vs, order);
+        cache.subset_morton_order(vs, order, scratch);
         orders.push_back(std::move(order));
       }
     }
@@ -422,7 +423,7 @@ TEST(SweepEval, RequestedModeReachesEverySweepConsumer) {
   ASSERT_TRUE(g.has_coords());
   DecomposeOptions opt;
   opt.sweep_mode = SweepMode::WindowMin;
-  const auto splitter = make_default_splitter(g, opt);
+  const auto splitter = make_default_splitter(g, opt.splitter);
   EXPECT_TRUE(splitter->supports_sweep_mode(SweepMode::WindowMin));
   DecomposeDiagnostics diag;
   splitter->set_diagnostics(&diag);
@@ -432,6 +433,47 @@ TEST(SweepEval, RequestedModeReachesEverySweepConsumer) {
   const DecomposeResult res = decompose(g, w, opt, *splitter);
   testing::expect_total_coloring(g, res.coloring);
   EXPECT_EQ(diag.sweep_mode_fallbacks.load(), 0);
+}
+
+TEST(SweepEval, ExternalSplitterOverloadStampsSweepModeAndForkDepth) {
+  // decompose(g, w, opt, splitter) honors every option but num_threads:
+  // the mode and fork depth land on the caller's splitter, which then
+  // answers exactly as a DecomposeContext built from the same options.
+  const Graph g = make_random_geometric(300, 0.1);
+  const auto w = testing::weights_for(g, WeightModel::Zipf, 7);
+  DecomposeOptions opt;
+  opt.k = 6;
+  opt.sweep_mode = SweepMode::WindowMin;
+  opt.fork_depth = 2;
+  const auto splitter = make_default_splitter(g, opt.splitter);
+  const DecomposeResult res = decompose(g, w, opt, *splitter);
+  EXPECT_EQ(splitter->sweep_mode(), SweepMode::WindowMin);
+  EXPECT_EQ(splitter->fork_depth(), 2);
+  DecomposeContext ctx(g, opt);
+  EXPECT_EQ(res.coloring.color, ctx.decompose(w).coloring.color);
+  // The instance is one where the mode matters, so a dropped mode shows.
+  DecomposeOptions def = opt;
+  def.sweep_mode = SweepMode::BetterOfTwo;
+  EXPECT_NE(res.coloring.color, decompose(g, w, def).coloring.color);
+}
+
+TEST(SweepEval, DecomposeReportsUnsupportedSweepModeToItsSink) {
+  // The stamp sets the sink before the mode, so a splitter that cannot
+  // honor WindowMin reports it to this call's sink, once for both arms
+  // of the Best race.
+  const Graph g = make_grid_cube(2, 8);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 3);
+  DecomposeDiagnostics diag;
+  DecomposeOptions opt;
+  opt.k = 4;
+  opt.init = InitMethod::Best;
+  opt.sweep_mode = SweepMode::WindowMin;
+  opt.diagnostics = &diag;
+  ModelessSplitter s;
+  const DecomposeResult res = decompose(g, w, opt, s);
+  testing::expect_total_coloring(g, res.coloring);
+  EXPECT_TRUE(res.balance.strictly_balanced);
+  EXPECT_EQ(diag.sweep_mode_fallbacks.load(), 1);
 }
 
 TEST(SweepEval, PresummedBestPrefixMatchesSelfSummed) {

@@ -25,10 +25,8 @@
 //     = 2/4/8, again bit-identical by construction);
 //   * a min-max refinement microbench on random colorings, per engine.
 //
-// The same source compiles against the seed tree (which predates
-// DecomposeWorkspace, RefineEngine, and DecomposeContext); the extra
-// modes are feature-detected so before/after JSONs can be produced with
-// one binary each and merged by tools/bench_merge.py into BENCH_*.json.
+// Two runs' JSONs (before and after a change) merge into BENCH_*.json
+// with tools/bench_merge.py.
 //
 // PR 9 adds the E12 huge-graph suite (--e12 / --e12-smoke): 10M+-vertex
 // grids and triangulated meshes plus a METIS-file round trip through the
@@ -52,36 +50,21 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "baselines/random_part.hpp"
 #include "baselines/recursive_bisection.hpp"
+#include "core/context.hpp"
 #include "core/decompose.hpp"
+#include "core/fast.hpp"
 #include "core/refine.hpp"
+#include "core/workspace.hpp"
 #include "gen/geometric.hpp"
 #include "gen/grid.hpp"
 #include "gen/mesh.hpp"
 #include "io/metis_io.hpp"
-#include "util/timer.hpp"
-
-// Seed trees predate util/rss.hpp; their rows carry peak_rss_bytes 0 (the
-// merge keeps the current side's stamps).
-#if __has_include("util/rss.hpp")
-#define MMD_BENCH_HAS_RSS 1
 #include "util/rss.hpp"
-#endif
-
-#if __has_include("core/workspace.hpp")
-#define MMD_BENCH_HAS_WORKSPACE 1
-#include "core/workspace.hpp"
-#endif
-#if __has_include("core/context.hpp")
-#define MMD_BENCH_HAS_CONTEXT 1
-#include "core/context.hpp"
-#endif
-#include "core/fast.hpp"  // seed and current both have the fast mode;
-                          // MMD_HAS_FAST_CONTEXT marks the warm path
+#include "util/timer.hpp"
 
 // glibc keeps freed heap resident (malloc_trim hands it back); other C
 // libraries run the E12 suite without the trim.
@@ -93,35 +76,6 @@
 namespace {
 
 using namespace mmd;
-
-template <typename T, typename = void>
-struct HasEngine : std::false_type {};
-template <typename T>
-struct HasEngine<T, std::void_t<decltype(T::engine)>> : std::true_type {};
-
-// Detect DecomposeOptions::sweep_mode (the SweepEval prefix rules) so one
-// runner source still compiles against older trees.
-template <typename T, typename = void>
-struct HasSweepMode : std::false_type {};
-template <typename T>
-struct HasSweepMode<T, std::void_t<decltype(T::sweep_mode)>> : std::true_type {};
-
-template <typename Opt>
-auto set_window_rule(Opt& o, bool on, int) -> decltype((void)o.sweep_mode) {
-  o.sweep_mode = on ? decltype(o.sweep_mode)::WindowMin
-                    : decltype(o.sweep_mode)::BetterOfTwo;
-}
-template <typename Opt>
-void set_window_rule(Opt&, bool, long) {}
-
-// Set the refinement engine when the library has one (overload ranking:
-// the int overload wins when `o.engine` is well-formed).
-template <typename Opt>
-auto set_engine(Opt& o, bool worklist, int) -> decltype((void)o.engine) {
-  o.engine = worklist ? decltype(o.engine)::Worklist : decltype(o.engine)::Sweep;
-}
-template <typename Opt>
-void set_engine(Opt&, bool, long) {}
 
 struct Row {
   std::string suite, config;
@@ -137,18 +91,10 @@ struct Row {
 
 std::vector<Row> g_rows;
 
-std::size_t process_peak_rss() {
-#ifdef MMD_BENCH_HAS_RSS
-  return peak_rss_bytes();
-#else
-  return 0;
-#endif
-}
-
 /// All rows funnel through here so each carries the peak-RSS high-water
 /// mark as of the moment it was measured.
 void push_row(Row row) {
-  row.peak_rss = process_peak_rss();
+  row.peak_rss = peak_rss_bytes();
   g_rows.push_back(std::move(row));
 }
 
@@ -195,23 +141,16 @@ void bench_decompose(const char* config, int side, int k, double heavy = 0.0) {
   Row warm{"decompose_grid2d", config, side, g.num_vertices(), k,
            "warm",            1e300,  0.0};
   const auto splitter = make_default_splitter(g, opt.splitter);
-#ifdef MMD_BENCH_HAS_WORKSPACE
   DecomposeWorkspace ws;
-#endif
   for (int r = 0; r < reps + 1; ++r) {  // first warm call fills the pools
     Timer t;
-#ifdef MMD_BENCH_HAS_WORKSPACE
     const DecomposeResult res = decompose(g, w, opt, *splitter, &ws);
-#else
-    const DecomposeResult res = decompose(g, w, opt, *splitter);
-#endif
     if (r == 0) continue;
     warm.ms = std::min(warm.ms, t.seconds() * 1e3);
     warm.max_boundary = res.max_boundary;
   }
   push_row(warm);
 
-#ifdef MMD_BENCH_HAS_CONTEXT
   // The public warm path: a reused DecomposeContext (owned splitter +
   // workspace; zero rebuilds after call one), serial and 2/4/8-threaded
   // (the wider pools drive the multi_split lane tree at its auto fork
@@ -240,26 +179,23 @@ void bench_decompose(const char* config, int side, int k, double heavy = 0.0) {
   // The SweepEval prefix rules on the warm context path: the default
   // better-of-two rule (must merge to max_boundary_vs_seed = 0) and the
   // window rule (cheapest in-window prefix; <= 0 everywhere).
-  if constexpr (HasSweepMode<DecomposeOptions>::value) {
-    for (const bool window : {false, true}) {
-      DecomposeOptions copt = opt;
-      set_window_rule(copt, window, 0);
-      Row row{"decompose_grid2d", config,
-              side,              g.num_vertices(),
-              k,                 window ? "eval-window" : "eval-incremental",
-              1e300,             0.0};
-      DecomposeContext ctx(g, copt);
-      for (int r = 0; r < reps + 1; ++r) {
-        Timer t;
-        const DecomposeResult res = ctx.decompose(w);
-        if (r == 0) continue;
-        row.ms = std::min(row.ms, t.seconds() * 1e3);
-        row.max_boundary = res.max_boundary;
-      }
-      push_row(row);
+  for (const bool window : {false, true}) {
+    DecomposeOptions copt = opt;
+    copt.sweep_mode = window ? SweepMode::WindowMin : SweepMode::BetterOfTwo;
+    Row row{"decompose_grid2d", config,
+            side,              g.num_vertices(),
+            k,                 window ? "eval-window" : "eval-incremental",
+            1e300,             0.0};
+    DecomposeContext ctx(g, copt);
+    for (int r = 0; r < reps + 1; ++r) {
+      Timer t;
+      const DecomposeResult res = ctx.decompose(w);
+      if (r == 0) continue;
+      row.ms = std::min(row.ms, t.seconds() * 1e3);
+      row.max_boundary = res.max_boundary;
     }
+    push_row(row);
   }
-#endif
 }
 
 /// The fast multilevel mode on the mid-size grids named by the ROADMAP
@@ -284,7 +220,6 @@ void bench_fast(const char* config, int side, int k) {
   }
   push_row(cold);
 
-#ifdef MMD_HAS_FAST_CONTEXT
   // The warm multilevel path: cached hierarchy, warm coarse context,
   // persistent finest-level splitter — serial and 2/4/8-threaded.
   for (const int threads : {1, 2, 4, 8}) {
@@ -306,7 +241,6 @@ void bench_fast(const char* config, int side, int k) {
     }
     push_row(row);
   }
-#endif
 }
 
 void bench_refine(const char* suite, int side, int k, const Coloring& base,
@@ -328,14 +262,10 @@ void bench_refine(const char* suite, int side, int k, const Coloring& base,
     push_row(row);
   };
 
-  if constexpr (HasEngine<MinmaxRefineOptions>::value) {
-    set_engine(opt, true, 0);
-    run_mode("worklist");
-    set_engine(opt, false, 0);
-    run_mode("sweep");
-  } else {
-    run_mode("sweep");  // the seed's only engine
-  }
+  opt.engine = RefineEngine::Worklist;
+  run_mode("worklist");
+  opt.engine = RefineEngine::Sweep;
+  run_mode("sweep");
 }
 
 /// Hill climbing from a random coloring: the boundary is dense, so this
@@ -393,7 +323,6 @@ void bench_e12_decompose(const char* suite, const char* config, const Graph& g,
   }
   push_row(cold);
 
-#ifdef MMD_BENCH_HAS_CONTEXT
   Row warm{suite, config, side, g.num_vertices(), k, "ctx-warm", 1e300, 0.0};
   warm.m = g.num_edges();
   warm.graph_bytes = g.memory_bytes();
@@ -406,7 +335,6 @@ void bench_e12_decompose(const char* suite, const char* config, const Graph& g,
     warm.max_boundary = res.max_boundary;
   }
   push_row(warm);
-#endif
 }
 
 /// Grid instance: one e12_build row (generator + GraphBuilder::build wall
