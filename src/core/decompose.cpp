@@ -82,15 +82,115 @@ long count_migration(const Coloring& prior, const Coloring& now) {
 
 namespace {
 
-PhaseReport report_phase(const Graph& g, std::span<const double> w,
-                         const Coloring& chi, double seconds) {
-  PhaseReport rep;
-  rep.seconds = seconds;
+/// A coloring's phase report together with the balance pass behind it:
+/// the O(m) boundary pass and the balance pass run once per distinct
+/// coloring, and the almost-strict test and the final figures reuse them.
+struct PhaseSnapshot {
+  PhaseReport report;
+  BalanceReport balance;
+};
+
+PhaseSnapshot snapshot(const Graph& g, std::span<const double> w,
+                       const Coloring& chi) {
+  PhaseSnapshot s;
   const auto bc = class_boundary_costs(g, chi);
-  rep.max_boundary = norm_inf(bc);
-  rep.avg_boundary = chi.k > 0 ? norm1(bc) / chi.k : 0.0;
-  rep.max_weight_dev = balance_report(w, chi).max_dev;
-  return rep;
+  s.report.max_boundary = norm_inf(bc);
+  s.report.avg_boundary = chi.k > 0 ? norm1(bc) / chi.k : 0.0;
+  s.balance = balance_report(w, chi);
+  s.report.max_weight_dev = s.balance.max_dev;
+  return s;
+}
+
+/// What every arm of one request shares: sigma_p, the Theorem 4 bound and
+/// the splitting-cost measure pi, computed once per request.
+struct RequestInvariants {
+  double sigma_p = 0.0;
+  TheoryBound bound;
+  std::vector<double> pi;
+};
+
+/// Phases 1-4 of one init method (not Best) on invariants `inv`.
+DecomposeResult run_arm(const Graph& g, std::span<const double> w,
+                        std::span<const MeasureRef> extras,
+                        const DecomposeOptions& options, ISplitter& splitter,
+                        DecomposeWorkspace& wsr, const RequestInvariants& inv) {
+  DecomposeResult out;
+  out.sigma_p = inv.sigma_p;
+  out.bound = inv.bound;
+  const std::vector<double>& pi = inv.pi;
+
+  // Each phase's report: a phase that ran is measured afresh; one that did
+  // not leaves the coloring alone and keeps the previous report, with its
+  // own seconds.
+  Timer phase_timer;
+  PhaseSnapshot last;
+  auto report = [&](PhaseReport& slot, bool ran, const Coloring& chi) {
+    const double seconds = phase_timer.seconds();
+    if (ran) last = snapshot(g, w, chi);
+    last.report.seconds = seconds;
+    slot = last.report;
+  };
+
+  // Phase 1: Proposition 7 (or plain Lemma 6 when the Psi pass is ablated,
+  // or a Simon–Teng warm start when requested).
+  Coloring chi;
+  if (options.init == InitMethod::Bisection) {
+    chi = recursive_bisection_coloring(g, w, options.k, splitter);
+  } else {
+    // The user measures are w and the extras; without the Psi pass,
+    // plain Lemma 6 balances pi alongside them.
+    std::vector<MeasureRef> user;
+    if (!options.balance_boundary) user.push_back(MeasureRef(pi));
+    user.push_back(MeasureRef(w));
+    user.insert(user.end(), extras.begin(), extras.end());
+    chi = options.balance_boundary
+              ? minmax_balance(g, options.k, pi, user, splitter,
+                               options.rebalance, nullptr, &wsr)
+              : multibalance(g, options.k, user, splitter, options.rebalance,
+                             nullptr, &wsr);
+  }
+  report(out.phase_multibalance, true, chi);
+
+  // Phase 2: Proposition 11.  Its whole purpose is to reach *almost*
+  // strict balance; when phase 1 already delivers that (common for the
+  // bisection warm start, occasional for benign instances), skipping the
+  // shrink-and-conquer recursion is both valid and cheaper.
+  options.exec.check();  // phase boundary checkpoint
+  phase_timer.reset();
+  const bool strictify = options.use_strictify && options.k > 1 &&
+                         !last.balance.almost_strictly_balanced;
+  if (strictify) {
+    chi = strictify_almost(g, chi, w, pi, splitter, options.strictify,
+                           nullptr, extras, &wsr);
+  }
+  report(out.phase_strictify, strictify, chi);
+
+  // Phase 3: Proposition 12.
+  options.exec.check();
+  phase_timer.reset();
+  const bool binpack = options.use_binpack2 && options.k > 1;
+  if (binpack) chi = binpack2(g, chi, w, splitter, nullptr, &wsr);
+  report(out.phase_binpack, binpack, chi);
+
+  // Phase 4 (extension): min-max hill climbing.  Only applied once the
+  // coloring is strictly balanced, so the Definition 1 window it must
+  // preserve is the one the caller asked for.
+  options.exec.check();
+  phase_timer.reset();
+  const bool refine = binpack && options.use_refinement;
+  if (refine) {
+    MinmaxRefineOptions refine_options = options.refine;
+    refine_options.exec = options.exec;  // round-boundary checkpoints inside
+    out.refine_stats = minmax_refine(g, chi, w, refine_options, &wsr.refine);
+  }
+  report(out.phase_refine, refine, chi);
+
+  // The final figures are the last report's.
+  out.coloring = std::move(chi);
+  out.balance = last.balance;
+  out.max_boundary = last.report.max_boundary;
+  out.avg_boundary = last.report.avg_boundary;
+  return out;
 }
 
 /// The one Theorem 4 pipeline behind decompose() and decompose_multi():
@@ -120,89 +220,31 @@ DecomposeResult run(const Graph& g, std::span<const double> w,
     return out;
   }
 
+  Timer total_timer;
   DecomposeWorkspace local_ws;
   DecomposeWorkspace& wsr = ws ? *ws : local_ws;
 
-  if (options.init == InitMethod::Best) {
+  RequestInvariants inv;
+  inv.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
+                                      : default_sigma_p(g, options.p);
+  inv.bound = theorem4_bound(g, options.p, inv.sigma_p, options.k);
+  inv.pi = splitting_cost_measure(g, options.p, inv.sigma_p);
+
+  DecomposeResult out;
+  if (options.init != InitMethod::Best) {
+    out = run_arm(g, w, extras, options, splitter, wsr, inv);
+  } else {
     DecomposeOptions paper = options;
     paper.init = InitMethod::Paper;
     DecomposeOptions bisect = options;
     bisect.init = InitMethod::Bisection;
-    DecomposeResult a = run(g, w, extras, paper, splitter, &wsr);
-    DecomposeResult b = run(g, w, extras, bisect, splitter, &wsr);
+    options.exec.check();  // arm boundary checkpoints
+    DecomposeResult a = run_arm(g, w, extras, paper, splitter, wsr, inv);
+    options.exec.check();
+    DecomposeResult b = run_arm(g, w, extras, bisect, splitter, wsr, inv);
     // Both are strictly balanced (or throw); keep the cheaper boundary.
-    return a.max_boundary <= b.max_boundary ? a : b;
+    out = a.max_boundary <= b.max_boundary ? std::move(a) : std::move(b);
   }
-
-  DecomposeResult out;
-  Timer total_timer;
-
-  out.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
-                                      : default_sigma_p(g, options.p);
-  out.bound = theorem4_bound(g, options.p, out.sigma_p, options.k);
-
-  const std::vector<double> pi =
-      splitting_cost_measure(g, options.p, out.sigma_p);
-
-  // Phase 1: Proposition 7 (or plain Lemma 6 when the Psi pass is ablated,
-  // or a Simon–Teng warm start when requested).
-  Timer phase_timer;
-  Coloring chi;
-  if (options.init == InitMethod::Bisection) {
-    chi = recursive_bisection_coloring(g, w, options.k, splitter);
-  } else {
-    // The user measures are w and the extras; without the Psi pass,
-    // plain Lemma 6 balances pi alongside them.
-    std::vector<MeasureRef> user;
-    if (!options.balance_boundary) user.push_back(MeasureRef(pi));
-    user.push_back(MeasureRef(w));
-    user.insert(user.end(), extras.begin(), extras.end());
-    chi = options.balance_boundary
-              ? minmax_balance(g, options.k, pi, user, splitter,
-                               options.rebalance, nullptr, &wsr)
-              : multibalance(g, options.k, user, splitter, options.rebalance,
-                             nullptr, &wsr);
-  }
-  out.phase_multibalance = report_phase(g, w, chi, phase_timer.seconds());
-
-  // Phase 2: Proposition 11.  Its whole purpose is to reach *almost*
-  // strict balance; when phase 1 already delivers that (common for the
-  // bisection warm start, occasional for benign instances), skipping the
-  // shrink-and-conquer recursion is both valid and cheaper.
-  options.exec.check();  // phase boundary checkpoint
-  phase_timer.reset();
-  if (options.use_strictify && options.k > 1 &&
-      !balance_report(w, chi).almost_strictly_balanced) {
-    chi = strictify_almost(g, chi, w, pi, splitter, options.strictify,
-                           nullptr, extras, &wsr);
-  }
-  out.phase_strictify = report_phase(g, w, chi, phase_timer.seconds());
-
-  // Phase 3: Proposition 12.
-  options.exec.check();
-  phase_timer.reset();
-  if (options.use_binpack2 && options.k > 1) {
-    chi = binpack2(g, chi, w, splitter, nullptr, &wsr);
-  }
-  out.phase_binpack = report_phase(g, w, chi, phase_timer.seconds());
-
-  // Phase 4 (extension): min-max hill climbing.  Only applied once the
-  // coloring is strictly balanced, so the Definition 1 window it must
-  // preserve is the one the caller asked for.
-  options.exec.check();
-  phase_timer.reset();
-  if (options.use_refinement && options.use_binpack2 && options.k > 1) {
-    MinmaxRefineOptions refine = options.refine;
-    refine.exec = options.exec;  // round-boundary checkpoints inside
-    out.refine_stats = minmax_refine(g, chi, w, refine, &wsr.refine);
-  }
-  out.phase_refine = report_phase(g, w, chi, phase_timer.seconds());
-
-  out.coloring = std::move(chi);
-  out.balance = balance_report(w, out.coloring);
-  const auto bc = class_boundary_costs(g, out.coloring);
-  out.max_boundary = norm_inf(bc);
-  out.avg_boundary = norm1(bc) / options.k;
   out.total_seconds = total_timer.seconds();
   return out;
 }
@@ -308,12 +350,13 @@ std::optional<DecomposeResult> try_incremental_repartition(
   refine.seeded = true;
   refine.seed = std::span<const Vertex>(rw.seed);
   out.refine_stats = minmax_refine(g, out.coloring, w, refine, &rw);
-  out.phase_refine = report_phase(g, w, out.coloring, phase_timer.seconds());
-
-  out.balance = balance_report(w, out.coloring);
-  const auto bc = class_boundary_costs(g, out.coloring);
-  out.max_boundary = norm_inf(bc);
-  out.avg_boundary = norm1(bc) / options.k;
+  const double refine_seconds = phase_timer.seconds();
+  const PhaseSnapshot last = snapshot(g, w, out.coloring);
+  out.phase_refine = last.report;
+  out.phase_refine.seconds = refine_seconds;
+  out.balance = last.balance;
+  out.max_boundary = last.report.max_boundary;
+  out.avg_boundary = last.report.avg_boundary;
 
   // Boundary-growth envelope against the last FULL solve.  Boundary cost
   // is weight-independent and seeded refinement is monotone non-increasing

@@ -112,8 +112,9 @@ SplitResult GeometricSplitter::split(const SplitRequest& request) {
   MMD_ASSERT(have, "geometric splitter produced no candidate");
   if (options_.refine && !best.inside.empty() &&
       best.inside.size() < request.w_list.size()) {
+    Membership frontier(g.num_vertices());
     fm_refine_split(g, request.w_list, request.weights, request.target, best,
-                    FmOptions{}, in_w, in_u, stats);
+                    in_w, in_u, frontier, stats);
   }
   return best;
 }

@@ -30,13 +30,15 @@ std::vector<Vertex> pseudo_peripheral_bfs_order(const Graph& g,
 namespace {
 
 /// BFS over G[W] from `source`, restarting on unreached component heads so
-/// every vertex of w_list appears exactly once in `out`.  A vertex is
-/// "open" while state[v] == tag; visiting clears the tag, so the inner
-/// loop pays a single random load per neighbor instead of separate
-/// membership and visited probes.  The caller must (re)tag w_list before
-/// each call.
+/// every vertex of w_list appears exactly once in `out` — or, with a
+/// `horizon`, only through the first vertex whose running weight passes
+/// it.  A vertex is "open" while state[v] == tag; visiting clears the
+/// tag, so the inner loop pays a single random load per neighbor instead
+/// of separate membership and visited probes.  The caller must (re)tag
+/// w_list before each call.
 void bfs_into(const Graph& g, std::span<const Vertex> w_list, Vertex source,
-              std::uint32_t tag, BfsScratch& scratch, std::vector<Vertex>& out) {
+              std::uint32_t tag, BfsScratch& scratch, std::vector<Vertex>& out,
+              const SweepHorizon* horizon) {
   out.clear();
   std::uint32_t* state = scratch.state.data();
   scratch.queue.clear();
@@ -51,6 +53,7 @@ void bfs_into(const Graph& g, std::span<const Vertex> w_list, Vertex source,
     visit(source);
   }
   std::size_t restart = 0;
+  double acc = 0.0;
   while (out.size() < w_list.size()) {
     if (head == scratch.queue.size()) {
       while (restart < w_list.size() &&
@@ -61,6 +64,10 @@ void bfs_into(const Graph& g, std::span<const Vertex> w_list, Vertex source,
     }
     const Vertex v = scratch.queue[head++];
     out.push_back(v);
+    if (horizon != nullptr) {
+      acc += horizon->weights[static_cast<std::size_t>(v)];
+      if (horizon->passed(acc)) break;
+    }
     for (const Vertex u : g.neighbors_unchecked(v))
       if (state[static_cast<std::size_t>(u)] == tag) visit(u);
   }
@@ -71,7 +78,8 @@ void bfs_into(const Graph& g, std::span<const Vertex> w_list, Vertex source,
 void pseudo_peripheral_bfs_order_into(const Graph& g,
                                       std::span<const Vertex> w_list,
                                       BfsScratch& scratch,
-                                      std::vector<Vertex>& out) {
+                                      std::vector<Vertex>& out,
+                                      const SweepHorizon* horizon) {
   out.clear();
   if (w_list.empty()) return;
   scratch.state.resize(static_cast<std::size_t>(g.num_vertices()), 0);
@@ -88,10 +96,10 @@ void pseudo_peripheral_bfs_order_into(const Graph& g,
   scratch.tag += 2;
   const std::uint32_t tag = scratch.tag;
   for (Vertex v : w_list) scratch.state[static_cast<std::size_t>(v)] = tag;
-  bfs_into(g, w_list, w_list.front(), tag, scratch, out);
+  bfs_into(g, w_list, w_list.front(), tag, scratch, out, nullptr);
   MMD_ASSERT(out.size() == w_list.size(), "bfs must cover subset");
   const Vertex peripheral = out.back();
-  bfs_into(g, w_list, peripheral, tag - 1, scratch, out);
+  bfs_into(g, w_list, peripheral, tag - 1, scratch, out, horizon);
 }
 
 namespace {

@@ -15,6 +15,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/subgraph.hpp"
+#include "separators/sweep_eval.hpp"
 
 namespace mmd {
 
@@ -44,10 +45,19 @@ struct BfsScratch {
 
 /// pseudo_peripheral_bfs_order into a caller buffer, reusing scratch (its
 /// tag array doubles as the subset marker); no allocation in steady state.
+///
+/// Stop rule: with a `horizon`, the second sweep stops right after the
+/// first vertex whose running weight (summed in BFS order from 0.0, the
+/// arithmetic SweepEval repeats) passes it, so `out` is the prefix of the
+/// full order that SweepEval reads — the same evaluation for O(prefix)
+/// instead of O(|W|) sweep work.  The first sweep always runs whole: its
+/// last vertex is the second sweep's source.  Without one, `out` is all
+/// of W.
 void pseudo_peripheral_bfs_order_into(const Graph& g,
                                       std::span<const Vertex> w_list,
                                       BfsScratch& scratch,
-                                      std::vector<Vertex>& out);
+                                      std::vector<Vertex>& out,
+                                      const SweepHorizon* horizon = nullptr);
 
 /// Radix-sort scratch of OrderingCache's subset queries, owned by the
 /// caller: lanes share one cache, so concurrent queries (the thread pool

@@ -74,8 +74,10 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
     };
 
     if (options_.use_bfs) {
+      // SweepEval reads the BFS order only up to the split's horizon.
+      const SweepHorizon horizon(request.weights, request.target, stats);
       pseudo_peripheral_bfs_order_into(g, request.w_list, slot0.bfs,
-                                       slot0.order);
+                                       slot0.order, &horizon);
       consider(slot0.order);
     }
     for (int idx = 0; idx < num_sweeps; ++idx) {
@@ -94,11 +96,9 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
 
   if (options_.refine && !best.inside.empty() &&
       best.inside.size() < request.w_list.size()) {
-    constexpr int kFmMaxPasses = 3;
-    FmOptions fm;
-    fm.max_passes = kFmMaxPasses;
+    fm_frontier_.ensure(g.num_vertices());
     fm_refine_split(g, request.w_list, request.weights, request.target, best,
-                    fm, in_w_, slot0.in_u, stats);
+                    in_w_, slot0.in_u, fm_frontier_, stats);
   }
   return best;
 }
@@ -119,11 +119,12 @@ SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
   // unpruned — the reduction below still matches the serial loop's winner
   // because serial pruning only discards candidates with cost >= the
   // incumbent, which the strictly-cheaper reduction rejects anyway.
+  const SweepHorizon horizon(request.weights, request.target, stats);
   thread_pool()->run(count, [&](int i) {
     EvalSlot& slot = *slots_[static_cast<std::size_t>(i)];
     if (i < bfs) {
       pseudo_peripheral_bfs_order_into(g, request.w_list, slot.bfs,
-                                       slot.order);
+                                       slot.order, &horizon);
     } else if (i - bfs < num_sweeps) {
       cache_->subset_order(i - bfs, request.w_list, &in_w_, slot.order,
                            slot.radix);

@@ -94,6 +94,7 @@ class PrefixSplitter final : public ISplitter {
   // each slot's radix scratch for the shared cache's subset queries.
   std::shared_ptr<OrderingCache> cache_;
   Membership in_w_;
+  Membership fm_frontier_;  ///< FM refinement's cut-frontier marker
   std::vector<std::unique_ptr<EvalSlot>> slots_;
 };
 

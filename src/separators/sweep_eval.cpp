@@ -106,7 +106,8 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
                                 const SubsetWeightStats& stats,
                                 const Membership& in_w, Membership& in_u,
                                 SweepMode mode, double prune_bound) {
-  const double t = std::clamp(target, 0.0, stats.total);
+  const SweepHorizon horizon(weights, target, stats);
+  const double t = horizon.t;
   SweepEvalResult out;
 
   // --- locate the candidate prefixes -----------------------------------
@@ -129,9 +130,10 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
     // absorbed subtracted).  Every prefix whose weight lies inside the
     // hard window |w(P_i) - w*| <= ||w|W||_inf/2 is a legal splitting set
     // (Definition 3); track the first of minimal running cost.  The scan
-    // stops once the running weight passes t + window for good (weights
-    // are non-negative, so no later prefix can re-enter the window).
-    const double window = stats.max / 2.0;
+    // stops at the SweepHorizon: once the running weight passes t + window
+    // (weights are non-negative, so no later prefix can re-enter the
+    // window).
+    const double window = horizon.window;
     prefix_cost_.resize(std::max(prefix_cost_.size(), order.size() + 1));
     prefix_cost_[0] = 0.0;
     scanned_ = 0;
@@ -155,7 +157,7 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
         b2_weight = c.weight;
         crossed = true;
       }
-      if (acc - t > window) break;  // left the window for good
+      if (horizon.passed(acc)) break;  // left the window for good
       for (const HalfEdge& h : g.incidence(v)) {
         if (!in_w.contains(h.to)) continue;
         run += in_u.contains(h.to) ? -h.cost : h.cost;

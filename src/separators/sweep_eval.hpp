@@ -35,6 +35,7 @@
 //     ties to BetterOfTwo).
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <span>
 #include <vector>
@@ -57,6 +58,29 @@ struct SubsetWeightStats {
 SubsetWeightStats subset_weight_stats(std::span<const double> weights,
                                       std::span<const Vertex> w_list);
 
+/// The point where SweepEval stops reading an order.  Sum the weights of
+/// an order's vertices from 0.0 in order, and let t be the target clamped
+/// to [0, w(W)]: once the running sum acc has acc - t > ||w|W||_inf/2,
+/// neither that prefix nor any longer one lies inside the hard window
+/// (weights are non-negative), and the better-of-two crossing came
+/// before it.  An order built for one split (the BFS candidate) may
+/// therefore end at the first vertex that takes acc past the horizon.
+/// `passed` is the one spelling of the test: `acc > t + window` can round
+/// differently.
+struct SweepHorizon {
+  SweepHorizon(std::span<const double> w, double target,
+               const SubsetWeightStats& stats)
+      : weights(w),
+        t(std::clamp(target, 0.0, stats.total)),
+        window(stats.max / 2.0) {}
+
+  bool passed(double acc) const { return acc - t > window; }
+
+  std::span<const double> weights;  ///< the split's vertex measure
+  double t;                         ///< target clamped to [0, w(W)]
+  double window;                    ///< ||w|W||_inf / 2
+};
+
 /// Prefix-choice rule of one evaluation (see file comment).
 enum class SweepMode {
   BetterOfTwo,  ///< seed rule: crossing prefix, nearer side of the target
@@ -78,7 +102,11 @@ struct SweepEvalResult {
 /// each (they already have one membership marker each for the same reason).
 class SweepEval {
  public:
-  /// Evaluate `order` (a permutation of the split's W).
+  /// Evaluate `order`: a permutation of the split's W, or a prefix of one
+  /// that ends at or after the first vertex whose running weight passes
+  /// the split's SweepHorizon.  Both modes stop reading there, so such a
+  /// prefix returns exactly what the whole permutation does (prefix_costs()
+  /// included).
   ///
   /// \param stats       subset_weight_stats of the split's W (hoisted)
   /// \param in_w        must represent exactly the split's W

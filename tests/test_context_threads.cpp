@@ -207,7 +207,9 @@ TEST(ContextThreads, ReuseAcrossKAndWeights) {
   topt.num_threads = 2;
   const auto w = testing::weights_for(g, WeightModel::Uniform, 5);
   const DecomposeResult threaded = ctx.decompose(w, topt);
-  const DecomposeResult serial = decompose(g, w, DecomposeOptions{.k = 4});
+  DecomposeOptions sopt;
+  sopt.k = 4;
+  const DecomposeResult serial = decompose(g, w, sopt);
   EXPECT_EQ(threaded.coloring.color, serial.coloring.color);
   EXPECT_EQ(ctx.stats().pool_builds, 1);
   EXPECT_EQ(ctx.stats().splitter_builds, 1);

@@ -222,8 +222,9 @@ TEST(WeightsGen, FamiliesWithinBounds) {
     for (double x : w) {
       EXPECT_GE(x, 0.0);
       EXPECT_TRUE(std::isfinite(x));
-      if (m != WeightModel::Exponential)  // unbounded tail
+      if (m != WeightModel::Exponential) {  // unbounded tail
         EXPECT_LE(x, 51.0);
+      }
     }
     EXPECT_GT(norm1(w), 0.0);
   }

@@ -72,9 +72,10 @@ TEST_P(GridSplitProperty, WindowAndCostBound) {
   const double p = grid_natural_p(d);
   const double bound = grid_splittability_bound(d, phi) *
                        norm_p(g.edge_costs(), p);
-  if (frac > 0.05 && frac < 0.95)
+  if (frac > 0.05 && frac < 0.95) {
     EXPECT_LE(res.boundary_cost, 4.0 * bound)
         << "d=" << d << " side=" << side << " phi=" << phi;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

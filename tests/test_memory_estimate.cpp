@@ -48,8 +48,10 @@ std::size_t usable(void* p) {
 
 // Counting allocator for this test binary only: every live allocation is
 // tracked by its usable size, so a scope's retained heap is the delta of
-// g_live_bytes across it.
-void* operator new(std::size_t size) {
+// g_live_bytes across it.  The replacements stay out of line: inlined,
+// they would show the compiler malloc's pointer reaching operator delete,
+// or operator new's reaching free() (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   const std::size_t now =
@@ -62,17 +64,25 @@ void* operator new(std::size_t size) {
   return p;
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept {
   if (p == nullptr) return;
   g_live_bytes.fetch_sub(usable(p), std::memory_order_relaxed);
   std::free(p);
 }
 
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace mmd {
 namespace {

@@ -17,7 +17,7 @@ using testing::all_vertices;
 
 /// Check the Lemma 8 class bound for measure j (1-indexed as in the
 /// paper):  each side's Phi(j)-mass <= 3/4 (Phi(j)(W) + 2^{r-j} max).
-void expect_lemma8_bounds(const Graph& g, std::span<const Vertex> w_list,
+void expect_lemma8_bounds(std::span<const Vertex> w_list,
                           const std::vector<std::vector<double>>& measures,
                           const TwoColoring& two) {
   const auto r = measures.size();
@@ -62,7 +62,7 @@ TEST_P(MultiSplitTest, BalancesAllMeasures) {
       seen.add(v);
     }
 
-  expect_lemma8_bounds(g, vs, measures, two);
+  expect_lemma8_bounds(vs, measures, two);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rs, MultiSplitTest, ::testing::Values(1, 2, 3, 4));

@@ -33,22 +33,29 @@ namespace {
 std::atomic<long> g_new_calls{0};
 }
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined, they would show the compiler
+// malloc's pointer reaching operator delete, or operator new's reaching
+// free() (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (mmd::fault::should_fail_alloc()) throw std::bad_alloc();
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (mmd::fault::should_fail_alloc()) throw std::bad_alloc();
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mmd {
 namespace {

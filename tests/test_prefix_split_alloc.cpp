@@ -15,6 +15,7 @@
 #include <new>
 
 #include "gen/grid.hpp"
+#include "separators/fm_refine.hpp"
 #include "separators/prefix_splitter.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -25,20 +26,27 @@ namespace {
 std::atomic<long> g_alloc_count{0};
 }
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined, they would show the compiler
+// malloc's pointer reaching operator delete, or operator new's reaching
+// free() (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mmd {
 namespace {
@@ -173,6 +181,41 @@ TEST_F(PrefixSplitAlloc, RefineDisabledSerialEvaluationAllocatesOnlyResult) {
     EXPECT_FALSE(res.inside.empty());
     EXPECT_LE(cost, 1) << "warm serial split must allocate at most the "
                           "returned inside vector";
+  }
+}
+
+TEST_F(PrefixSplitAlloc, FmFrontierIsCallerScratch) {
+  // FM's cut-frontier marker is scratch the caller owns (the splitter's,
+  // for its own splits), like the W and U markers: once they cover the
+  // graph and the result has room for all of W, a refinement that moves
+  // vertices allocates nothing at all.
+  for (const auto& in : inputs_) {
+    SCOPED_TRACE(::testing::Message() << "dim " << in->g.dim());
+    const Graph& g = in->g;
+    const SubsetWeightStats stats = subset_weight_stats(in->w, in->vs);
+    Membership in_w(g.num_vertices()), in_u(g.num_vertices()),
+        frontier(g.num_vertices());
+    in_w.assign(in->vs);
+    // A scattered prefix (a stride permutation of the ids) at a
+    // half-integer target, so unit-weight moves fit the 0.5 window: a poor
+    // split FM improves on.
+    const auto n = static_cast<Vertex>(in->vs.size());
+    std::vector<Vertex> scattered;
+    for (Vertex i = 0; i < n; ++i) scattered.push_back((i * 7919) % n);
+    const double target = in->req.target - 0.5;
+    const std::size_t len = best_prefix(scattered, in->w, target, stats.total);
+    const SplitResult start = evaluate_split(
+        g, in->vs, in->w, std::span<const Vertex>(scattered.data(), len));
+    SplitResult res = start;
+    res.inside.reserve(in->vs.size());
+
+    const long before = g_alloc_count.load();
+    const int moves = fm_refine_split(g, in->vs, in->w, target, res, in_w,
+                                      in_u, frontier, stats);
+    const long cost = g_alloc_count.load() - before;
+    EXPECT_GT(moves, 0);
+    EXPECT_LT(res.boundary_cost, start.boundary_cost);
+    EXPECT_EQ(cost, 0) << "FM allocated beyond its caller's scratch";
   }
 }
 

@@ -25,20 +25,27 @@ namespace {
 std::atomic<long> g_alloc_count{0};
 }
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined, they would show the compiler
+// malloc's pointer reaching operator delete, or operator new's reaching
+// free() (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mmd {
 namespace {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -30,22 +31,29 @@ namespace {
 std::atomic<long> g_new_calls{0};
 }
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined, they would show the compiler
+// malloc's pointer reaching operator delete, or operator new's reaching
+// free() (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (mmd::fault::should_fail_alloc()) throw std::bad_alloc();
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (mmd::fault::should_fail_alloc()) throw std::bad_alloc();
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mmd {
 namespace {
@@ -120,7 +128,8 @@ TEST_F(ServiceConcurrent, MixedTrafficBitIdenticalToSerialOracle) {
         if (idx >= trace.size()) break;
         const TraceItem& item = trace[idx];
         ServiceRequest req;
-        req.graph = "g" + std::to_string(item.graph);
+        req.graph = "g";
+        req.graph += std::to_string(item.graph);
         req.mode = item.mode;
         req.options.k = item.k;
         if (item.custom_weights)
@@ -209,6 +218,13 @@ TEST_F(ServiceConcurrent, EvictReloadCyclesUnderTrafficNeverCorruptResults) {
     service.load_graph("g", Graph(g), ones(g));
     std::this_thread::yield();
   }
+  // The cycles can end before any client finished a request inside a
+  // loaded window; the graph is loaded now, so give the clients (bounded)
+  // time to land one, or the Ok check below would race the scheduler.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ok_count.load() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : clients) t.join();
 

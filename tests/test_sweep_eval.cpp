@@ -5,7 +5,9 @@
 // staying inside the hard weight window of Definition 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -483,6 +485,154 @@ TEST(SweepEval, PresummedBestPrefixMatchesSelfSummed) {
     EXPECT_EQ(best_prefix(order, w, target, 14.0),
               best_prefix(order, w, target))
         << target;
+  }
+}
+
+// ---- the BFS horizon --------------------------------------------------------
+
+/// Expect `got` (a truncated evaluation) to equal `want` (the whole
+/// order's) in every reported field and in the running-cost record.
+void expect_same_eval(const SweepEvalResult& got,
+                      std::span<const double> got_costs,
+                      const SweepEvalResult& want,
+                      std::span<const double> want_costs) {
+  EXPECT_EQ(got.prefix_len, want.prefix_len);
+  EXPECT_EQ(got.weight, want.weight);  // bit-identical
+  EXPECT_EQ(got.cost, want.cost);      // bit-identical
+  EXPECT_EQ(got.pruned, want.pruned);
+  ASSERT_EQ(got_costs.size(), want_costs.size());
+  for (std::size_t i = 0; i < got_costs.size(); ++i)
+    EXPECT_EQ(got_costs[i], want_costs[i]) << "prefix " << i;
+}
+
+TEST(SweepHorizon, TruncatedBfsIsThePrefixSweepEvalReads) {
+  // The horizon-truncated second sweep must be the full order's prefix
+  // through the first vertex whose running weight passes the horizon, and
+  // both SweepEval modes must return the same result and the same running
+  // costs on it as on the whole order — on connected and disconnected W,
+  // for unit, integer {1, 2} (where acc - t lands exactly on the window)
+  // and real weights, at targets from below 0 to above w(W).
+  int truncated = 0, on_window = 0;
+  for (const Instance& inst : instances()) {
+    const Graph& g = inst.graph;
+    std::vector<std::vector<Vertex>> subsets{all_vertices(g), {}};
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      if (v % 5 != 1 && v % 7 != 3) subsets[1].push_back(v);
+    std::vector<std::vector<double>> weight_sets;
+    weight_sets.emplace_back(static_cast<std::size_t>(g.num_vertices()), 1.0);
+    weight_sets.emplace_back(static_cast<std::size_t>(g.num_vertices()), 1.0);
+    for (std::size_t v = 0; v < weight_sets[1].size(); v += 3)
+      weight_sets[1][v] = 2.0;
+    weight_sets.push_back(testing::weights_for(g, WeightModel::Uniform, 7));
+    for (const auto& vs : subsets) {
+      Membership in_w(g.num_vertices()), in_u(g.num_vertices());
+      in_w.assign(vs);
+      BfsScratch bfs;
+      std::vector<Vertex> full, cut;
+      pseudo_peripheral_bfs_order_into(g, vs, bfs, full);
+      for (const auto& w : weight_sets) {
+        const SubsetWeightStats stats = subset_weight_stats(w, vs);
+        for (const double target :
+             {-3.0, 0.0, 1.0, 2.5, 0.05 * stats.total,
+              std::floor(0.3 * stats.total), 0.5 * stats.total,
+              std::floor(0.5 * stats.total) + 0.5, 0.95 * stats.total,
+              stats.total, stats.total + 4.0}) {
+          SCOPED_TRACE(::testing::Message() << inst.name << " |W| " << vs.size()
+                                            << " target " << target);
+          const SweepHorizon horizon(w, target, stats);
+          pseudo_peripheral_bfs_order_into(g, vs, bfs, cut, &horizon);
+
+          // The horizon vertex, by the same running sum over the full order
+          // and SweepEval's stop test spelled out.
+          const double t = std::clamp(target, 0.0, stats.total);
+          const double window = stats.max / 2.0;
+          std::size_t len = full.size();
+          double acc = 0.0;
+          for (std::size_t i = 0; i < full.size(); ++i) {
+            acc += w[static_cast<std::size_t>(full[i])];
+            if (acc - t == window) ++on_window;
+            if (acc - t > window) {
+              len = i + 1;
+              break;
+            }
+          }
+          ASSERT_EQ(cut.size(), len);
+          ASSERT_TRUE(std::equal(cut.begin(), cut.end(), full.begin()));
+          truncated += len < full.size() ? 1 : 0;
+
+          for (const SweepMode mode :
+               {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+            SweepEval a, b;
+            const SweepEvalResult want =
+                a.eval(g, full, w, target, stats, in_w, in_u, mode);
+            const SweepEvalResult got =
+                b.eval(g, cut, w, target, stats, in_w, in_u, mode);
+            expect_same_eval(got, b.prefix_costs(), want, a.prefix_costs());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(truncated, 100);  // the horizon really cuts most orders short
+  EXPECT_GT(on_window, 10);   // and acc - t == window does occur
+}
+
+TEST(SweepHorizon, StopsAfterTheFirstVertexStrictlyPastTheWindow) {
+  // A unit-weight path from vertex 0, target 10.5: window 0.5, so the
+  // prefix of weight 11 sits exactly on the window (kept going) and the
+  // one of weight 12 is the first past it — the order stops there.
+  const Graph g = make_path(30);
+  const auto vs = all_vertices(g);
+  const std::vector<double> w(vs.size(), 1.0);
+  const SubsetWeightStats stats = subset_weight_stats(w, vs);
+  const SweepHorizon horizon(w, 10.5, stats);
+  EXPECT_FALSE(horizon.passed(11.0));
+  EXPECT_TRUE(horizon.passed(12.0));
+  BfsScratch bfs;
+  std::vector<Vertex> full, cut;
+  pseudo_peripheral_bfs_order_into(g, vs, bfs, full);
+  pseudo_peripheral_bfs_order_into(g, vs, bfs, cut, &horizon);
+  ASSERT_EQ(cut.size(), 12u);
+  EXPECT_TRUE(std::equal(cut.begin(), cut.end(), full.begin()));
+}
+
+TEST(SweepHorizon, SplitterResultsUnchangedByTruncation) {
+  // The BFS-only splitter evaluates the truncated order; its answer must be
+  // the one the whole order gives (evaluated here by hand), FM off.
+  PrefixSplitterOptions opts;
+  opts.use_coordinate_sweeps = false;
+  opts.refine = false;
+  for (const Instance& inst : instances()) {
+    const Graph& g = inst.graph;
+    const auto vs = all_vertices(g);
+    const auto w = testing::weights_for(g, WeightModel::Exponential, 9);
+    const SubsetWeightStats stats = subset_weight_stats(w, vs);
+    Membership in_w(g.num_vertices()), in_u(g.num_vertices());
+    in_w.assign(vs);
+    BfsScratch bfs;
+    std::vector<Vertex> full;
+    pseudo_peripheral_bfs_order_into(g, vs, bfs, full);
+    for (const SweepMode mode :
+         {SweepMode::BetterOfTwo, SweepMode::WindowMin}) {
+      PrefixSplitter splitter(opts);
+      splitter.set_sweep_mode(mode);
+      for (const double frac : {0.1, 0.37, 0.5, 0.9}) {
+        SplitRequest req;
+        req.g = &g;
+        req.w_list = vs;
+        req.weights = w;
+        req.target = frac * stats.total;
+        const SplitResult got = splitter.split(req);
+        SweepEval sweep;
+        const SweepEvalResult want =
+            sweep.eval(g, full, w, req.target, stats, in_w, in_u, mode);
+        ASSERT_EQ(got.inside.size(), want.prefix_len) << inst.name;
+        EXPECT_TRUE(
+            std::equal(got.inside.begin(), got.inside.end(), full.begin()));
+        EXPECT_EQ(got.weight, want.weight);
+        EXPECT_EQ(got.boundary_cost, want.cost);
+      }
+    }
   }
 }
 

@@ -18,7 +18,9 @@ TEST(Prng, DeterministicPerSeed) {
     const auto x = a();
     EXPECT_EQ(x, b());
     // Different seeds should diverge almost immediately.
-    if (i == 0) EXPECT_NE(x, c());
+    if (i == 0) {
+      EXPECT_NE(x, c());
+    }
   }
 }
 
