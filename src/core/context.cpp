@@ -1,8 +1,15 @@
 #include "core/context.hpp"
 
 #include <cmath>
+#include <string>
 
 namespace mmd {
+
+void require_thread_count(int count, const char* name) {
+  MMD_REQUIRE(count >= 1 && count <= kMaxThreads,
+              std::string(name) + " must be in [1, " +
+                  std::to_string(kMaxThreads) + "]");
+}
 
 void OwnedPool::rebuild(int num_threads, DecomposeDiagnostics* diag,
                         int& builds, int& failures) {
@@ -58,19 +65,28 @@ std::size_t RepartitionChain::update_weights(
   return deltas.size();
 }
 
-const PriorSolution* RepartitionChain::prior() {
-  if (!prior_valid_) return nullptr;
-  seed_.coloring = &prior_coloring_;
-  seed_.dirty = dirty_;
-  return &seed_;
+std::optional<DecomposeResult> RepartitionChain::try_incremental(
+    const Graph& g, const DecomposeOptions& options,
+    DecomposeWorkspace* ws) const {
+  if (!prior_valid_) return std::nullopt;
+  PriorSolution prior;
+  prior.coloring = &prior_coloring_;
+  prior.max_boundary = prior_max_boundary_;
+  prior.baseline_max_boundary = baseline_max_boundary_;
+  prior.dirty = dirty_;
+  return try_incremental_repartition(g, weights_, prior, options, ws);
+}
+
+long RepartitionChain::migration_from_prior(const Coloring& coloring) const {
+  return prior_valid_ ? count_migration(prior_coloring_, coloring) : -1;
 }
 
 void RepartitionChain::adopt(const Coloring& coloring, double max_boundary,
                              bool incremental) {
   Coloring staged = coloring;  // the one throwing step, before any commit
   prior_coloring_ = std::move(staged);
-  seed_.max_boundary = max_boundary;
-  if (!incremental) seed_.baseline_max_boundary = max_boundary;
+  prior_max_boundary_ = max_boundary;
+  if (!incremental) baseline_max_boundary_ = max_boundary;
   prior_valid_ = true;
   dirty_.clear();
 }
@@ -87,14 +103,13 @@ DecomposeContext::DecomposeContext(const Graph& g,
                                    ThreadPool* external_pool)
     : g_(&g), options_(options), external_pool_(external_pool),
       ws_(external_ws ? external_ws : &own_ws_), chain_(g.num_vertices()) {
-  MMD_REQUIRE(options.num_threads >= 1, "num_threads must be >= 1");
   reconcile(options);
 }
 
 DecomposeContext::~DecomposeContext() = default;
 
 void DecomposeContext::reconcile(const DecomposeOptions& options) {
-  MMD_REQUIRE(options.num_threads >= 1, "num_threads must be >= 1");
+  require_thread_count(options.num_threads, "num_threads");
   MMD_REQUIRE(options.fork_depth >= 0, "fork_depth must be >= 0");
   // Only the splitter kind is structural; the stamped per-call state
   // (sweep mode, fork depth, exec, diagnostics) never forces a rebuild.
@@ -114,26 +129,26 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
     ++stats_.splitter_builds;
   }
   if (splitter_stale || pool_stale) splitter_->set_thread_pool(thread_pool());
-  // Per-call state invalidates nothing, so it is simply re-stamped.
-  stamp_splitter(*splitter_, options);
+  // Never cache a caller's exec: its token only has to outlive the one
+  // call that carried it.  `options` may alias options_.
+  const ExecControl exec = options_.exec;
   options_ = options;
-  // Never cache a caller's prior pointer: it borrows storage that only has
-  // to outlive the one call that carried it.  The context's own repartition
-  // chain re-injects its cached prior per call instead.
-  options_.prior = nullptr;
+  options_.exec = exec;
+  // Per-call state invalidates nothing, so it is simply re-stamped; each
+  // call stamps its own exec on entry.
+  stamp_splitter(*splitter_, options_);
 }
 
 DecomposeResult DecomposeContext::decompose(std::span<const double> w) {
-  ExclusiveUse::Claim claim = claim_use();
-  ++stats_.decompose_calls;
-  return mmd::decompose(*g_, w, options_, *splitter_, ws_);
+  return decompose(w, options_);
 }
 
 DecomposeResult DecomposeContext::decompose(std::span<const double> w,
                                             const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
-  return decompose(w);
+  ++stats_.decompose_calls;
+  return mmd::decompose(*g_, w, options, *splitter_, ws_);
 }
 
 void DecomposeContext::set_weights(std::span<const double> w) {
@@ -146,41 +161,34 @@ std::size_t DecomposeContext::update_weights(std::span<const WeightDelta> deltas
   return chain_.update_weights(deltas);
 }
 
-DecomposeResult DecomposeContext::do_repartition(
-    std::span<const WeightDelta> deltas) {
-  chain_.update_weights(deltas);
-  ++stats_.repartition_calls;
-  // decompose() tries the seeded path first and escalates to a full solve
-  // (counting the migration) when the certificate fires.
-  DecomposeOptions opt = options_;
-  opt.prior = chain_.prior();
-  DecomposeResult r =
-      mmd::decompose(*g_, chain_.weights(), opt, *splitter_, ws_);
-  if (r.incremental) ++stats_.incremental_served;
-  if (r.escalated) ++stats_.escalations;
-  chain_.adopt(r.coloring, r.max_boundary, r.incremental);
-  return r;
-}
-
 DecomposeResult DecomposeContext::repartition(
     std::span<const WeightDelta> deltas) {
-  ExclusiveUse::Claim claim = claim_use();
-  return do_repartition(deltas);
+  return repartition(deltas, options_);
 }
 
 DecomposeResult DecomposeContext::repartition(
     std::span<const WeightDelta> deltas, const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
-  return do_repartition(deltas);
+  chain_.update_weights(deltas);
+  ++stats_.repartition_calls;
+  std::optional<DecomposeResult> r = chain_.try_incremental(*g_, options, ws_);
+  if (r) {
+    ++stats_.incremental_served;
+  } else {
+    r = mmd::decompose(*g_, chain_.weights(), options, *splitter_, ws_);
+    // A full solve escalated exactly when a prior was cached.
+    r->migration_cost = chain_.migration_from_prior(r->coloring);
+    r->escalated = r->migration_cost >= 0;
+    if (r->escalated) ++stats_.escalations;
+  }
+  chain_.adopt(r->coloring, r->max_boundary, r->incremental);
+  return std::move(*r);
 }
 
 MultiDecomposeResult DecomposeContext::decompose_multi(
     std::span<const double> psi, std::span<const MeasureRef> extra_measures) {
-  ExclusiveUse::Claim claim = claim_use();
-  ++stats_.decompose_calls;
-  return mmd::decompose_multi(*g_, psi, extra_measures, options_, *splitter_,
-                              ws_);
+  return decompose_multi(psi, extra_measures, options_);
 }
 
 MultiDecomposeResult DecomposeContext::decompose_multi(
@@ -188,7 +196,9 @@ MultiDecomposeResult DecomposeContext::decompose_multi(
     const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
-  return decompose_multi(psi, extra_measures);
+  ++stats_.decompose_calls;
+  return mmd::decompose_multi(*g_, psi, extra_measures, options, *splitter_,
+                              ws_);
 }
 
 std::size_t DecomposeContext::memory_estimate_bytes() const {

@@ -94,6 +94,18 @@ class ExclusiveUse {
   std::atomic<std::thread::id> owner_{};
 };
 
+/// The most threads a pool owner accepts (DecomposeOptions::num_threads,
+/// PartitionServiceOptions::num_workers); a larger request is refused with
+/// std::invalid_argument before any pool is built.  More lanes than this
+/// only park: multi_split's lane tree has at most 64 leaves, a split fans
+/// out at most dim + 2 candidate orders, and strictify runs min(threads,
+/// k) tasks.
+inline constexpr int kMaxThreads = 256;
+
+/// Throws std::invalid_argument naming option `name` unless `count` lies
+/// in [1, kMaxThreads].
+void require_thread_count(int count, const char* name);
+
 /// The pool policy every pool owner shares (DecomposeContext, FastContext
 /// and PartitionService): an owned ThreadPool sized by a requested thread
 /// count, rebuilt only when that count changes.  A construction that
@@ -125,8 +137,11 @@ class OwnedPool {
 
 /// The weight-drift chain both contexts hold (DecomposeContext::repartition
 /// and FastContext::repartition): the bound weight vector, the pending
-/// dirty set, and the cached prior solution with its baseline.  Each
-/// context keeps only its own solve step; the contracts live here once:
+/// dirty set, and the cached prior solution with its baseline, which only
+/// the chain reads.  A context's repartition step updates the weights,
+/// tries the chain's seeded attempt, otherwise runs the context's own full
+/// solve (escalated, with its migration from the prior, when one is
+/// cached), and adopts the answer.  The contracts live here once:
 ///
 ///   * update_weights validates every delta before mutating anything, and
 ///     deltas carry absolute weights, so a failed or repeated batch leaves
@@ -147,10 +162,18 @@ class RepartitionChain {
   /// See DecomposeContext::update_weights.
   std::size_t update_weights(std::span<const WeightDelta> deltas);
 
-  /// The cached prior as a decompose() seed over the pending dirty set,
-  /// or nullptr while no prior is cached.  The seed borrows the chain's
-  /// storage and stays valid until the chain is next mutated.
-  const PriorSolution* prior();
+  /// The seeded attempt: try_incremental_repartition of the cached prior
+  /// over the pending dirty set under the bound weights, or std::nullopt
+  /// when no prior is cached or the escalation certificate fires.
+  /// \throws std::invalid_argument on an invalid k or p (see
+  ///         try_incremental_repartition), before anything is adopted
+  std::optional<DecomposeResult> try_incremental(
+      const Graph& g, const DecomposeOptions& options,
+      DecomposeWorkspace* ws) const;
+
+  /// Vertices a full solve's `coloring` moves away from the cached prior,
+  /// or -1 while none is cached (the chain's first, cold solve).
+  long migration_from_prior(const Coloring& coloring) const;
 
   /// Adopt a solve's answer as the new prior and clear the dirty set.  A
   /// full solve (`incremental` false) also re-baselines the boundary-growth
@@ -168,9 +191,8 @@ class RepartitionChain {
   std::vector<Vertex> dirty_;  ///< cleared only by adopt()
   Coloring prior_coloring_;
   bool prior_valid_ = false;
-  /// What prior() hands out; it stores the prior's two boundaries, and
-  /// prior() points it at the coloring and the dirty set.
-  PriorSolution seed_;
+  double prior_max_boundary_ = 0.0;
+  double baseline_max_boundary_ = 0.0;  ///< at the last full solve
 };
 
 /// Instrumentation counters of a context (see also
@@ -199,6 +221,10 @@ struct DecomposeContextStats {
 /// auto a = ctx.decompose(weights);        // builds splitter + pool once
 /// auto b = ctx.decompose(other_weights);  // zero rebuilds, zero allocs
 /// ```
+///
+/// Per-call options become the bound options, except their `exec`: a call
+/// that passes options runs with that deadline and token for that call
+/// only, and a call without options runs with the constructor's.
 class DecomposeContext {
  public:
   /// Bind to `g` (borrowed; must outlive the context) and build the
@@ -210,6 +236,9 @@ class DecomposeContext {
   /// one regardless of options.num_threads and wires the external pool
   /// into its splitter instead — FastContext uses this to share one pool
   /// across the coarse-level context and the finest-level splitter.
+  /// \throws std::invalid_argument when options.num_threads is outside
+  ///         [1, kMaxThreads] or options.fork_depth is negative, before
+  ///         any pool is built
   explicit DecomposeContext(const Graph& g, const DecomposeOptions& options = {},
                             DecomposeWorkspace* external_ws = nullptr,
                             ThreadPool* external_pool = nullptr);
@@ -221,10 +250,10 @@ class DecomposeContext {
   /// Theorem 4 decomposition with the bound options (see decompose.hpp).
   DecomposeResult decompose(std::span<const double> w);
 
-  /// Same with per-call options; the splitter and pool are rebuilt only if
-  /// `options` actually changes the splitter kind or the thread count, so
-  /// sweeping k, weights, tolerances, or the sweep mode stays on the warm
-  /// path.
+  /// Same with per-call options, which the context binds (their exec for
+  /// this call only); the splitter and pool are rebuilt only if `options`
+  /// actually changes the splitter kind or the thread count, so sweeping
+  /// k, weights, tolerances, or the sweep mode stays on the warm path.
   DecomposeResult decompose(std::span<const double> w,
                             const DecomposeOptions& options);
 
@@ -252,12 +281,13 @@ class DecomposeContext {
 
   /// Solve under the bound weights after applying `deltas`, seeding from
   /// the previous repartition's solution when one is cached: the first
-  /// call is a full solve; later calls run the incremental seeded path
-  /// and escalate to a full solve when the certificate fires (see
+  /// call is a full solve; later calls run the chain's seeded attempt and
+  /// escalate to a full solve when the certificate fires (see
   /// IncrementalOptions).  On success the result is adopted as the new
   /// prior and the pending dirty set is cleared; on a thrown fault
-  /// (deadline/cancel/alloc) nothing is adopted, the dirty set keeps
-  /// accumulating, and an identical retry returns a bit-identical result.
+  /// (deadline/cancel/alloc, or an invalid k or p) nothing is adopted,
+  /// the dirty set keeps accumulating, and an identical retry returns a
+  /// bit-identical result.
   DecomposeResult repartition(std::span<const WeightDelta> deltas = {});
 
   /// Same with per-call options (reconciled like decompose(w, options)).
@@ -272,6 +302,7 @@ class DecomposeContext {
                                        const DecomposeOptions& options);
 
   const Graph& graph() const { return *g_; }
+  /// The bound options: the last call's, with the constructor's exec.
   const DecomposeOptions& options() const { return options_; }
   /// The owned splitter (stable across calls; scratch and OrderingCache
   /// stay warm inside it).
@@ -305,9 +336,9 @@ class DecomposeContext {
   }
 
  private:
-  /// Make splitter/pool match `options`, rebuilding only on actual change.
+  /// Bind `options` (keeping the constructor's exec) and make the
+  /// splitter/pool match them, rebuilding only on actual change.
   void reconcile(const DecomposeOptions& options);
-  DecomposeResult do_repartition(std::span<const WeightDelta> deltas);
 
   ExclusiveUse use_;
   const Graph* g_;

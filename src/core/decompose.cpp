@@ -205,21 +205,6 @@ DecomposeResult run(const Graph& g, std::span<const double> w,
   // throw here, not after a phase ran.
   options.exec.check();
 
-  if (options.prior != nullptr) {
-    // Incremental-first: seeded refinement over the dirty region.  When
-    // the escalation certificate fires, fall back to a full solve with the
-    // prior stripped — that path is the ordinary pipeline, so it keeps the
-    // bit-identical warm/cold/threaded contract — and report the migration
-    // the caller is about to pay.
-    if (auto inc = try_incremental_repartition(g, w, options, ws)) return *inc;
-    DecomposeOptions full = options;
-    full.prior = nullptr;
-    DecomposeResult out = run(g, w, extras, full, splitter, ws);
-    out.escalated = true;
-    out.migration_cost = count_migration(*options.prior->coloring, out.coloring);
-    return out;
-  }
-
   Timer total_timer;
   DecomposeWorkspace local_ws;
   DecomposeWorkspace& wsr = ws ? *ws : local_ws;
@@ -249,14 +234,21 @@ DecomposeResult run(const Graph& g, std::span<const double> w,
   return out;
 }
 
-/// Entry checks shared by decompose() and decompose_multi(), then the one
-/// stamp of `options` onto the splitter tree (propagated to its lanes).
-void enter(const Graph& g, std::span<const double> w,
-           const DecomposeOptions& options, ISplitter& splitter) {
+/// The argument checks every entry point makes before any work, the
+/// seeded attempt included.
+void require_valid(const Graph& g, std::span<const double> w,
+                   const DecomposeOptions& options) {
   MMD_REQUIRE(options.k >= 1, "k must be >= 1");
   MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
               "weight arity mismatch");
+}
+
+/// Entry of decompose() and decompose_multi(): the checks, then the one
+/// stamp of `options` onto the splitter tree (propagated to its lanes).
+void enter(const Graph& g, std::span<const double> w,
+           const DecomposeOptions& options, ISplitter& splitter) {
+  require_valid(g, w, options);
   stamp_splitter(splitter, options);
 }
 
@@ -270,14 +262,10 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
 }
 
 std::optional<DecomposeResult> try_incremental_repartition(
-    const Graph& g, std::span<const double> w, const DecomposeOptions& options,
-    DecomposeWorkspace* ws) {
-  MMD_REQUIRE(options.prior != nullptr,
-              "incremental repartition requires options.prior");
-  const PriorSolution& prior = *options.prior;
+    const Graph& g, std::span<const double> w, const PriorSolution& prior,
+    const DecomposeOptions& options, DecomposeWorkspace* ws) {
+  require_valid(g, w, options);
   MMD_REQUIRE(prior.coloring != nullptr, "prior solution has no coloring");
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
-              "weight arity mismatch");
   options.exec.check();
 
   const Coloring& pc = *prior.coloring;
@@ -343,10 +331,6 @@ std::optional<DecomposeResult> try_incremental_repartition(
   Timer phase_timer;
   MinmaxRefineOptions refine = options.refine;
   refine.exec = options.exec;
-  // Seeded mode is a worklist-engine feature; force it so a Sweep-
-  // configured caller still gets the localized (and empty-seed no-op)
-  // semantics the incremental contract promises.
-  refine.engine = RefineEngine::Worklist;
   refine.seeded = true;
   refine.seed = std::span<const Vertex>(rw.seed);
   out.refine_stats = minmax_refine(g, out.coloring, w, refine, &rw);
@@ -381,11 +365,9 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
                           DecomposeWorkspace* ws) {
   // A transient context: one splitter + pool build, torn down on return.
   // Callers that decompose the same graph repeatedly should hold a
-  // DecomposeContext instead and get this build cost exactly once.  The
-  // caller's options go to the splitter overload as given (the context
-  // would strip a prior from its cached copy).
+  // DecomposeContext instead and get this build cost exactly once.
   DecomposeContext ctx(g, options, ws);
-  return mmd::decompose(g, w, options, ctx.splitter(), &ctx.workspace());
+  return ctx.decompose(w);
 }
 
 MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi,
@@ -396,14 +378,10 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
   for (const MeasureRef& m : extra_measures)
     MMD_REQUIRE(static_cast<Vertex>(m.size()) == g.num_vertices(),
                 "extra measure arity mismatch");
-  if (!extra_measures.empty()) {
-    // Neither the bisection warm start nor seeded refinement balances the
-    // extra measures, so neither may stand in for Proposition 7.
-    MMD_REQUIRE(options.init == InitMethod::Paper,
-                "decompose_multi with extra measures requires init=Paper");
-    MMD_REQUIRE(options.prior == nullptr,
-                "decompose_multi with extra measures takes no prior");
-  }
+  // The bisection warm start does not balance the extra measures, so it
+  // may not stand in for Proposition 7.
+  MMD_REQUIRE(extra_measures.empty() || options.init == InitMethod::Paper,
+              "decompose_multi with extra measures requires init=Paper");
   enter(g, psi, options, splitter);
   DecomposeResult r = run(g, psi, extra_measures, options, splitter, ws);
 
@@ -424,8 +402,7 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
                                      const DecomposeOptions& options,
                                      DecomposeWorkspace* ws) {
   DecomposeContext ctx(g, options, ws);
-  return decompose_multi(g, psi, extra_measures, options, ctx.splitter(),
-                         &ctx.workspace());
+  return ctx.decompose_multi(psi, extra_measures);
 }
 
 }  // namespace mmd

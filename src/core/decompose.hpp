@@ -53,10 +53,10 @@ struct WeightDelta {
   double weight = 0.0;
 };
 
-/// A borrowed previous solution threaded into decompose() as a seed.
+/// A borrowed previous solution, the seed of try_incremental_repartition.
 /// Everything here is borrowed and must outlive the call; both contexts'
 /// repartition chains assemble one from their cached state
-/// (RepartitionChain::prior) — standalone callers can too.  It carries no
+/// (RepartitionChain) — standalone callers can too.  It carries no
 /// per-class sums: the balance certificate recomputes them under the
 /// current weights.
 struct PriorSolution {
@@ -74,10 +74,11 @@ struct PriorSolution {
 };
 
 /// Escalation certificate of the incremental repartition path: when any
-/// threshold is exceeded the prior is abandoned and decompose() falls back
-/// to a full re-decompose (DecomposeResult::escalated).  The prior must
-/// also still fit the Definition 1 window under the new weights, so a
-/// served incremental result is always strictly balanced.
+/// threshold is exceeded try_incremental_repartition abandons the prior and
+/// the caller falls back to a full solve (a context's repartition step
+/// flags it DecomposeResult::escalated).  The prior must also still fit
+/// the Definition 1 window under the new weights, so a served incremental
+/// result is always strictly balanced.
 struct IncrementalOptions {
   /// Escalate when the incremental max boundary exceeds this multiple of
   /// PriorSolution::baseline_max_boundary.  Defensive envelope: boundary
@@ -142,13 +143,15 @@ struct DecomposeOptions {
 
   /// Execution control: a steady-clock deadline and/or a caller-held
   /// cancellation token, checked at cheap deterministic checkpoints (call
-  /// entry, every split() entry, refinement round/pass boundaries,
-  /// multi_split batch edges) and surfaced as DeadlineExceeded/Cancelled.
-  /// Default: unlimited.  The checks never perturb the computation — a
-  /// call that finishes before its deadline is bit-identical to an
-  /// unlimited one.  `exec.cancel`, when set, is borrowed and must outlive
-  /// the call.  See util/exec_control.hpp and docs/ARCHITECTURE.md
-  /// ("Error model & execution control").
+  /// entry, every split() entry, refinement round boundaries, multi_split
+  /// batch edges) and surfaced as DeadlineExceeded/Cancelled.  Default:
+  /// unlimited.  The checks never perturb the computation — a call that
+  /// finishes before its deadline is bit-identical to an unlimited one.
+  /// `exec.cancel`, when set, is borrowed and must outlive the call.  A
+  /// context applies the exec of per-call options to that call only; its
+  /// calls without options run with the constructor's.  See
+  /// util/exec_control.hpp and docs/ARCHITECTURE.md ("Error model &
+  /// execution control").
   ExecControl exec;
   /// Borrowed diagnostics sink (counters + optional callback) for
   /// conditions the library would otherwise have to log: laneless
@@ -157,15 +160,9 @@ struct DecomposeOptions {
   /// stderr.  Must outlive every call using these options.
   DecomposeDiagnostics* diagnostics = nullptr;
 
-  /// Previous solution to seed from (borrowed; nullptr = solve cold).
-  /// When set, decompose() first attempts the incremental path — seeded
-  /// worklist refinement over the dirty region — and falls back to a full
-  /// re-decompose (with `escalated` set in the result) whenever the
-  /// `incremental` escalation certificate fires.  DecomposeContext strips
-  /// this pointer when caching options (it would dangle); use
-  /// DecomposeContext::repartition for the cached-prior flow.
-  const PriorSolution* prior = nullptr;
-  IncrementalOptions incremental;  ///< escalation thresholds (prior != nullptr)
+  /// Escalation thresholds of try_incremental_repartition (the seeded
+  /// step of both contexts' repartition chains).
+  IncrementalOptions incremental;
 };
 
 /// Timing and quality snapshot taken after one pipeline phase.
@@ -188,11 +185,12 @@ struct DecomposeResult {
   PhaseReport phase_multibalance, phase_strictify, phase_binpack, phase_refine;
   MinmaxRefineStats refine_stats;  ///< phase 4 move/round counters
   double total_seconds = 0.0;      ///< end-to-end wall time
-  /// Vertices whose class differs from options.prior->coloring, or -1 when
-  /// no prior was supplied (a cold solve has no migration to measure).
+  /// Vertices whose class differs from the prior a repartition step
+  /// started from, or -1 without one (decompose() and a chain's first
+  /// step are cold solves, with no migration to measure).
   long migration_cost = -1;
   bool incremental = false;  ///< served by the seeded-refinement fast path
-  bool escalated = false;    ///< prior supplied but certificate forced full solve
+  bool escalated = false;    ///< prior cached but certificate forced full solve
 };
 
 /// Decompose with an externally provided splitter (the low-level core).
@@ -229,17 +227,19 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
                           const DecomposeOptions& options,
                           DecomposeWorkspace* ws = nullptr);
 
-/// The incremental repartition attempt on its own: seeded worklist
-/// refinement of `options.prior` over the dirty region, or std::nullopt
-/// when the escalation certificate fires (prior structurally unusable, no
-/// longer within the balance headroom under `w`, dirty region too large,
-/// or refined boundary outside the growth envelope).  decompose() calls
-/// this first whenever options.prior is set; it is exposed so the contexts
-/// (and tests) can attempt the cheap path without committing to the full
-/// fallback.  Requires options.prior != nullptr with a non-null coloring.
+/// The incremental repartition attempt: seeded worklist refinement of
+/// `prior` over its dirty region, or std::nullopt when the escalation
+/// certificate fires (prior structurally unusable, no longer within the
+/// balance headroom under `w`, dirty region too large, or refined boundary
+/// outside the growth envelope).  decompose() always solves cold; both
+/// contexts' repartition chains call this first and fall back to their
+/// full solve, and a standalone caller does the same: call this, and call
+/// decompose() when it returns std::nullopt.
+/// \throws std::invalid_argument on an invalid k or p, a weight arity
+///         mismatch, a null prior coloring or a dirty vertex out of range
 std::optional<DecomposeResult> try_incremental_repartition(
-    const Graph& g, std::span<const double> w, const DecomposeOptions& options,
-    DecomposeWorkspace* ws = nullptr);
+    const Graph& g, std::span<const double> w, const PriorSolution& prior,
+    const DecomposeOptions& options, DecomposeWorkspace* ws = nullptr);
 
 /// Vertices whose class differs between `prior` and `now` (the
 /// migration_cost of a repartition step).
@@ -265,10 +265,10 @@ struct MultiDecomposeResult {
 /// phase 1 alongside `psi` (and pi), and kept light in every part
 /// strictify moves.  Every option is honored as decompose() honors it
 /// (num_threads only by the overload without a splitter).  With extra
-/// measures, an init other than InitMethod::Paper and a non-null prior
-/// throw std::invalid_argument: neither the bisection warm start nor
-/// seeded refinement can balance them.  With none, the coloring equals
-/// decompose(g, psi, options)'s for every init.
+/// measures, an init other than InitMethod::Paper throws
+/// std::invalid_argument: the bisection warm start cannot balance them.
+/// With none, the coloring equals decompose(g, psi, options)'s for every
+/// init.
 /// \throws std::invalid_argument on arity mismatches or the rejected
 ///         options above
 MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi,

@@ -11,7 +11,6 @@ FastContext::FastContext(const Graph& g, const FastOptions& options,
                          DecomposeWorkspace* external_ws)
     : g_(&g), options_(options), ws_(external_ws ? external_ws : &own_ws_),
       chain_(g.num_vertices()) {
-  MMD_REQUIRE(options.inner.k >= 1, "k must be >= 1");
   reconcile(options);
 }
 
@@ -19,7 +18,7 @@ FastContext::~FastContext() = default;
 
 void FastContext::reconcile(const FastOptions& options) {
   MMD_REQUIRE(options.inner.k >= 1, "k must be >= 1");
-  MMD_REQUIRE(options.inner.num_threads >= 1, "num_threads must be >= 1");
+  require_thread_count(options.inner.num_threads, "num_threads");
   MMD_REQUIRE(options.inner.fork_depth >= 0, "fork_depth must be >= 0");
   // The hierarchy depends only on edge costs and the coarsening
   // parameters, the pool only on the thread count, the finest-level
@@ -31,10 +30,11 @@ void FastContext::reconcile(const FastOptions& options) {
   const bool pool_stale = pool_.stale(options.inner.num_threads);
   const bool fine_splitter_stale =
       options.inner.splitter != options_.inner.splitter;
+  // Same rule as DecomposeContext::reconcile: a caller's exec is per-call
+  // state, never cached.  `options` may alias options_.
+  const ExecControl exec = options_.inner.exec;
   options_ = options;
-  // Same anti-dangling rule as DecomposeContext::reconcile: a borrowed
-  // prior pointer is per-call state, never cached.
-  options_.inner.prior = nullptr;
+  options_.inner.exec = exec;
 
   if (hierarchy_stale) {
     levels_built_ = false;
@@ -90,19 +90,20 @@ void FastContext::ensure_levels(std::span<const double> w) {
   }
   if (coarse_ctx_ == nullptr) {
     const Graph& coarsest = levels_.empty() ? *g_ : levels_.back().graph;
-    coarse_ctx_ = std::make_unique<DecomposeContext>(coarsest, coarse_options(),
-                                                     ws_, pool_.get());
+    coarse_ctx_ = std::make_unique<DecomposeContext>(
+        coarsest, coarse_options(options_.inner.exec), ws_, pool_.get());
   }
 }
 
-DecomposeOptions FastContext::coarse_options() const {
+DecomposeOptions FastContext::coarse_options(const ExecControl& exec) const {
   DecomposeOptions inner = options_.inner;
   inner.use_refinement = true;
   inner.num_threads = 1;  // the shared pool is supplied externally
+  inner.exec = exec;
   return inner;
 }
 
-ISplitter& FastContext::fine_splitter() {
+ISplitter& FastContext::fine_splitter(const DecomposeOptions& inner) {
   // While nothing was coarsened the coarse context is bound to the finest
   // graph already — reuse its splitter instead of building a twin.
   if (levels_.empty()) return coarse_ctx_->splitter();
@@ -111,15 +112,25 @@ ISplitter& FastContext::fine_splitter() {
     fine_splitter_->set_thread_pool(pool_.get());
     ++stats_.fine_splitter_builds;
   }
-  stamp_splitter(*fine_splitter_, options_.inner);  // per-call state
+  stamp_splitter(*fine_splitter_, inner);  // per-call state
   return *fine_splitter_;
 }
 
 FastResult FastContext::decompose(std::span<const double> w) {
+  return decompose(w, options_);
+}
+
+FastResult FastContext::decompose(std::span<const double> w,
+                                  const FastOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
+  reconcile(options);
+  return solve(w, options.inner.exec);
+}
+
+FastResult FastContext::solve(std::span<const double> w,
+                              const ExecControl& exec) {
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
               "weight arity mismatch");
-  const ExecControl exec = options_.inner.exec;
   exec.check();  // an already-expired deadline throws before any work
   Timer timer;
   ++stats_.fast_calls;
@@ -135,7 +146,8 @@ FastResult FastContext::decompose(std::span<const double> w) {
   // there is nothing to degrade to.
   const std::span<const double> coarse_w =
       levels_.empty() ? w : std::span<const double>(levels_.back().weights);
-  Coloring chi = coarse_ctx_->decompose(coarse_w, coarse_options()).coloring;
+  const DecomposeOptions inner = coarse_options(exec);
+  Coloring chi = coarse_ctx_->decompose(coarse_w, inner).coloring;
 
   // Uncoarsen with per-level refinement (loose balance slack on interior
   // levels: coarse nodes are heavy, exactness comes at the end).  `lvl`
@@ -162,7 +174,7 @@ FastResult FastContext::decompose(std::span<const double> w) {
     // finest-level splitter (warm OrderingCache, shared pool).
     if (options_.inner.k > 1) {
       exec.check();
-      chi = binpack2(*g_, chi, w, fine_splitter(), nullptr, &wsr);
+      chi = binpack2(*g_, chi, w, fine_splitter(inner), nullptr, &wsr);
       MinmaxRefineOptions ro;
       ro.max_passes = options_.refine_passes_per_level;
       ro.exec = exec;
@@ -197,13 +209,6 @@ FastResult FastContext::decompose(std::span<const double> w) {
   return out;
 }
 
-FastResult FastContext::decompose(std::span<const double> w,
-                                  const FastOptions& options) {
-  ExclusiveUse::Claim claim = claim_use();
-  reconcile(options);
-  return decompose(w);
-}
-
 void FastContext::set_weights(std::span<const double> w) {
   ExclusiveUse::Claim claim = claim_use();
   chain_.set_weights(w);
@@ -218,33 +223,26 @@ FastResult FastContext::repartition(std::span<const WeightDelta> deltas) {
   ExclusiveUse::Claim claim = claim_use();
   chain_.update_weights(deltas);
   ++stats_.repartition_calls;
-  DecomposeOptions dopt = options_.inner;
-  dopt.prior = chain_.prior();
   FastResult out;
-  // The prior is already at full resolution, so the seeded path runs
+  // The prior is already at full resolution, so the seeded attempt runs
   // directly on the host graph — no coarsening, projection, or closing
   // pass involved.  The hierarchy stays cached for escalations.
-  if (dopt.prior != nullptr) {
-    if (auto inc =
-            try_incremental_repartition(*g_, chain_.weights(), dopt, ws_)) {
-      out.coloring = std::move(inc->coloring);
-      out.balance = inc->balance;
-      out.max_boundary = inc->max_boundary;
-      out.avg_boundary = inc->avg_boundary;
-      out.levels = static_cast<int>(levels_.size());
-      out.total_seconds = inc->total_seconds;
-      out.migration_cost = inc->migration_cost;
-      out.incremental = true;
-      ++stats_.incremental_served;
-    }
-  }
-  if (!out.incremental) {
-    out = decompose(chain_.weights());  // nested claim: same thread
-    if (dopt.prior != nullptr) {
-      out.escalated = true;
-      ++stats_.escalations;
-      out.migration_cost = count_migration(*dopt.prior->coloring, out.coloring);
-    }
+  if (auto inc = chain_.try_incremental(*g_, options_.inner, ws_)) {
+    out.coloring = std::move(inc->coloring);
+    out.balance = inc->balance;
+    out.max_boundary = inc->max_boundary;
+    out.avg_boundary = inc->avg_boundary;
+    out.levels = static_cast<int>(levels_.size());
+    out.total_seconds = inc->total_seconds;
+    out.migration_cost = inc->migration_cost;
+    out.incremental = true;
+    ++stats_.incremental_served;
+  } else {
+    out = solve(chain_.weights(), options_.inner.exec);
+    // A full solve escalated exactly when a prior was cached.
+    out.migration_cost = chain_.migration_from_prior(out.coloring);
+    out.escalated = out.migration_cost >= 0;
+    if (out.escalated) ++stats_.escalations;
   }
   // Adopt only verified-quality solutions as the chain's new prior: a
   // degraded (deadline-projected) coloring would seed the next call from

@@ -108,20 +108,26 @@ class FastContext {
   /// Multilevel decomposition with the bound options.
   FastResult decompose(std::span<const double> w);
 
-  /// Same with per-call options; the hierarchy, splitters, and pool are
-  /// rebuilt only if `options` actually invalidates them (coarsening
-  /// parameters or seed -> hierarchy; splitter kind -> splitters; thread
-  /// count -> pool), so sweeping k, weights, or tolerances stays warm.
+  /// Same with per-call options, which the context binds except their
+  /// inner.exec: that deadline and token apply to this call only, and
+  /// calls without options run with the constructor's (the rule of
+  /// DecomposeContext).  The hierarchy, splitters, and pool are rebuilt
+  /// only if `options` actually invalidates them (coarsening parameters or
+  /// seed -> hierarchy; splitter kind -> splitters; thread count -> pool),
+  /// so sweeping k, weights, or tolerances stays warm.
+  /// \throws std::invalid_argument when inner.num_threads is outside
+  ///         [1, kMaxThreads], before any pool is built
   FastResult decompose(std::span<const double> w, const FastOptions& options);
 
   /// Repartition chain: bind base weights, drift them with absolute
   /// deltas, and solve seeded from the cached prior.  The chain itself is
   /// the RepartitionChain DecomposeContext holds too, so validation,
   /// atomicity and the faulted-retry contract are the same code (see
-  /// core/context.hpp).  The incremental path serves at the *finest* level
-  /// (the prior is full-resolution; no projection needed), so the cached
-  /// hierarchy is only consulted when the escalation certificate forces a
-  /// full multilevel solve.  A degraded (deadline-projected) result is
+  /// core/context.hpp).  The chain's seeded attempt serves at the
+  /// *finest* level (the prior is full-resolution; no projection needed),
+  /// so the cached hierarchy is only consulted when the escalation
+  /// certificate forces a full multilevel solve.  A degraded
+  /// (deadline-projected) result is
   /// returned but never adopted as the prior, and the dirty set survives
   /// it: the next call resumes from the last verified prior and serves
   /// what the unfaulted call would have.
@@ -132,6 +138,7 @@ class FastContext {
   FastResult repartition(std::span<const WeightDelta> deltas = {});
 
   const Graph& graph() const { return *g_; }
+  /// The bound options: the last call's, with the constructor's exec.
   const FastOptions& options() const { return options_; }
   /// Warm context serving the coarsest level (bound to `graph()` itself
   /// while no coarsening applies); its stats expose the coarse-level
@@ -161,23 +168,25 @@ class FastContext {
 
  private:
   struct Level {
-    Graph graph;  ///< its *embedded* vertex weights are a snapshot of the
-                  ///< call that built the hierarchy; `weights` below is
-                  ///< the authoritative, per-call-refreshed vector
-    std::vector<double> weights;
-    std::vector<Vertex> parent;  ///< mapping from the next finer level
+    Graph graph;
+    std::vector<double> weights;  ///< summed weights, refreshed per call
+    std::vector<Vertex> parent;   ///< mapping from the next finer level
   };
 
-  /// Make pool/splitters/hierarchy match `options`, rebuilding only what
-  /// an actual change invalidates.
+  /// Bind `options` (keeping the constructor's exec) and make
+  /// pool/splitters/hierarchy match them, rebuilding only what an actual
+  /// change invalidates.
   void reconcile(const FastOptions& options);
+  /// The multilevel solve under the bound options and the call's `exec`.
+  FastResult solve(std::span<const double> w, const ExecControl& exec);
   /// Build the hierarchy (first call / after invalidation) or refresh the
   /// per-level weight sums for `w`.
   void ensure_levels(std::span<const double> w);
-  /// Coarse-level pipeline options: the bound inner options with
+  /// Coarse-level pipeline options: the bound inner options with `exec`,
   /// refinement forced on and the pool supplied externally.
-  DecomposeOptions coarse_options() const;
-  ISplitter& fine_splitter();
+  DecomposeOptions coarse_options(const ExecControl& exec) const;
+  /// The finest-level splitter, stamped with `inner`.
+  ISplitter& fine_splitter(const DecomposeOptions& inner);
 
   ExclusiveUse use_;
   const Graph* g_;

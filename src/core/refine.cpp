@@ -11,7 +11,7 @@ namespace {
 
 constexpr double kTol = 1e-12;
 
-/// Shared state of the two refinement engines.  All scratch lives in the
+/// State of the worklist refinement.  All scratch lives in the
 /// RefineWorkspace; nothing here allocates once the workspace is warm.
 class Refiner {
  public:
@@ -57,30 +57,19 @@ class Refiner {
     return m;
   }
 
-  /// The original engine: full vertex sweeps until a pass accepts nothing.
-  void run_sweep() {
-    for (int pass = 0; pass < opt_.max_passes; ++pass) {
-      opt_.exec.check();  // pass-boundary checkpoint
-      ++stats_.rounds;
-      bool improved = false;
-      for (Vertex v = 0; v < n_; ++v) improved |= try_move(v);
-      if (!improved) break;
-    }
-  }
-
-  /// Worklist engine: per round, walk the boundary vertices in ascending
-  /// id; when a move is accepted, re-enqueue only its still-ahead
-  /// neighbors (an id-ordered heap merged with the seed walk) and leave
-  /// the ones behind the scan pointer to the next round's reseed.
+  /// Per round, walk the boundary vertices in ascending id; when a move
+  /// is accepted, re-enqueue only its still-ahead neighbors (an id-ordered
+  /// heap merged with the seed walk) and leave the ones behind the scan
+  /// pointer to the next round's reseed.
   ///
-  /// This visits exactly the vertices on which a sweep pass is not a
-  /// provable no-op, in the sweep's order: a vertex that was interior at
-  /// round start and whose neighborhood has not changed stays interior,
-  /// and interior vertices never move.  The engine's trajectory — and
-  /// therefore its result — is bit-identical to run_sweep()'s, at the
-  /// sparse cost of the boundary neighborhood instead of n evaluations
-  /// per pass.
-  void run_worklist() {
+  /// This visits exactly the vertices on which a full sweep pass (try_move
+  /// on every vertex in id order) is not a provable no-op, in the sweep's
+  /// order: a vertex that was interior at round start and whose
+  /// neighborhood has not changed stays interior, and interior vertices
+  /// never move.  The trajectory — and therefore the result — is
+  /// bit-identical to repeated sweep passes, at the sparse cost of the
+  /// boundary neighborhood instead of n evaluations per pass.
+  void run() {
     bool dense = false;       // carry dense mode across rounds while it pays
     bool have_cands = false;  // sparse rounds can reseed incrementally
     for (int round = 0; round < opt_.max_passes; ++round) {
@@ -252,10 +241,9 @@ class Refiner {
   }
 
   /// Evaluate v against every class it touches; apply the first accepted
-  /// move.  Acceptance is identical to the seed sweep: strict balance
-  /// feasibility plus lexicographic improvement of (max, total) boundary.
-  /// Both engines share this rule — the worklist's bit-exact equivalence
-  /// to the sweep depends on it.
+  /// move.  Acceptance is the seed sweep's: strict balance feasibility
+  /// plus lexicographic improvement of (max, total) boundary — the
+  /// equivalence suite's sweep oracle repeats this arithmetic exactly.
   bool try_move(Vertex v) {
     const std::int32_t from = chi_[v];
     if (++ws_.class_epoch == 0) {
@@ -367,11 +355,7 @@ MinmaxRefineStats minmax_refine(const Graph& g, Coloring& chi,
     return stats;
   }
 
-  if (options.engine == RefineEngine::Sweep) {
-    refiner.run_sweep();
-  } else {
-    refiner.run_worklist();
-  }
+  refiner.run();
 
   // Recompute exactly to absorb floating-point drift.
   stats.max_boundary_after = refiner.exact_max_boundary();

@@ -11,17 +11,16 @@
 // typically shaving 20-50% off the realized maximum boundary cost
 // (ablation: bench_e5's "ours" vs "ours, no refine" rows).
 //
-// Two engines share the move-acceptance rule:
-//   * Worklist (default): an explicit FIFO of boundary vertices, seeded
-//     from cut edges and re-fed only with the neighborhood of accepted
-//     moves; the running maximum class boundary is tracked incrementally
-//     with a threshold counter over bc[], so evaluating a candidate costs
-//     O(deg) instead of the sweep's O(k + deg).  A round ends when the
-//     queue drains; rounds repeat (re-seeding from the current boundary)
-//     until a round accepts no move, which is exactly the sweep's
-//     fixpoint condition.
-//   * Sweep: the original full-pass reference engine, kept for the
-//     equivalence suite and the ablation benches.
+// The engine is a boundary worklist: an id-ordered queue of boundary
+// vertices, seeded from cut edges and re-fed only with the neighborhood of
+// accepted moves; the running maximum class boundary is tracked
+// incrementally with a threshold counter over bc[], so evaluating a
+// candidate costs O(deg).  A round ends when the queue drains; rounds
+// repeat (re-seeding from the current boundary) until a round accepts no
+// move.  Its trajectory is that of plain full sweeps over all vertices in
+// id order — a dense boundary runs exactly such a pass — and the
+// equivalence suite (tests/test_refine_worklist.cpp) holds it bit for bit
+// to a test-local sweep with the same acceptance arithmetic.
 #pragma once
 
 #include "core/workspace.hpp"
@@ -30,33 +29,24 @@
 
 namespace mmd {
 
-/// Which of the two equivalent refinement engines runs.  Both apply the
-/// identical move-acceptance rule and produce identical colorings (the
-/// equivalence suite in tests/test_refine_worklist.cpp asserts it).
-enum class RefineEngine {
-  Worklist,  ///< boundary worklist + incremental max tracking (default)
-  Sweep,     ///< full-sweep reference engine (the seed implementation)
-};
-
 /// Tuning of the min-max hill-climbing post-pass.
 struct MinmaxRefineOptions {
-  int max_passes = 8;  ///< cap on rounds/passes until the fixpoint
+  int max_passes = 8;  ///< cap on rounds until the fixpoint
   /// Keep |w(class) - avg| within this multiple of the Definition 1 slack
   /// (1.0 = strict balance; larger values explore the almost-strict room).
   double balance_slack = 1.0;
-  RefineEngine engine = RefineEngine::Worklist;  ///< engine selection
-  /// Deadline/cancellation, checked at every round (worklist) or pass
-  /// (sweep) boundary — so a cancel request is honored within one round.
-  /// The coloring is left in a valid (strictly balanced, partially
-  /// refined) state when the check throws.  decompose() copies its own
-  /// exec here; standalone callers may set it directly.
+  /// Deadline/cancellation, checked at every round boundary — so a cancel
+  /// request is honored within one round.  The coloring is left in a
+  /// valid (strictly balanced, partially refined) state when the check
+  /// throws.  decompose() copies its own exec here; standalone callers may
+  /// set it directly.
   ExecControl exec;
-  /// Seeded mode (worklist engine only; the sweep engine ignores both
-  /// fields): round 0 visits only the boundary members of `seed` instead
-  /// of the full cut.  Later rounds re-feed from accepted moves as usual,
-  /// so the climb stays localized to the region `seed` can reach.  With
-  /// seeded == true and an empty span the round-0 queue is empty and the
-  /// call is a no-op — "nothing changed" must not trigger a full sweep.
+  /// Seeded mode: round 0 visits only the boundary members of `seed`
+  /// instead of the full cut.  Later rounds re-feed from accepted moves as
+  /// usual, so the climb stays localized to the region `seed` can reach.
+  /// With seeded == true and an empty span the round-0 queue is empty and
+  /// the call is a no-op — "nothing changed" must not trigger a full
+  /// sweep.
   /// `seed` is borrowed; duplicates are deduplicated, order is irrelevant
   /// (the queue is sorted by id before the round runs).
   bool seeded = false;
@@ -66,8 +56,8 @@ struct MinmaxRefineOptions {
 /// Work and progress counters of one minmax_refine call.
 struct MinmaxRefineStats {
   int moves = 0;          ///< accepted vertex moves
-  int rounds = 0;         ///< worklist: seed rounds run (sweep: passes)
-  std::int64_t pops = 0;  ///< worklist: queue pops (work measure)
+  int rounds = 0;         ///< rounds run
+  std::int64_t pops = 0;  ///< queue pops (work measure)
   double max_boundary_before = 0.0;  ///< ||d chi^-1||_inf at entry
   double max_boundary_after = 0.0;   ///< ||d chi^-1||_inf at the fixpoint
 };
@@ -82,7 +72,7 @@ struct MinmaxRefineStats {
 /// \param g       host graph
 /// \param chi     total k-coloring, refined in place
 /// \param w       vertex weights the balance window is measured against
-/// \param options engine/pass/slack knobs
+/// \param options round/slack/seed knobs
 /// \param ws      optional scratch; when non-null its buffers are reused
 ///                (and grown on demand), so steady-state calls perform no
 ///                heap allocation

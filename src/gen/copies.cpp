@@ -30,7 +30,6 @@ DisjointUnion make_disjoint_copies(const Graph& base, int copies) {
     for (Vertex v = 0; v < nb; ++v) {
       out.copy_of[static_cast<std::size_t>(off + v)] = copy;
       out.base_vertex[static_cast<std::size_t>(off + v)] = v;
-      builder.set_vertex_weight(off + v, base.vertex_weight(v));
       if (base.has_coords()) {
         const auto c = base.coords(v);
         xyz.assign(c.begin(), c.end());

@@ -18,9 +18,10 @@ struct DisjointUnion {
   std::vector<Vertex> base_vertex;
 };
 
-/// `copies` disjoint isomorphic copies of `base`; edge costs and vertex
-/// weights replicated.  Coordinates are replicated too but shifted apart
-/// along axis 0 so the union of grid copies stays a valid grid graph.
+/// `copies` disjoint isomorphic copies of `base`; edge costs replicated
+/// (vertex weights are the caller's: see replicate_vertex_values).
+/// Coordinates are replicated too but shifted apart along axis 0 so the
+/// union of grid copies stays a valid grid graph.
 DisjointUnion make_disjoint_copies(const Graph& base, int copies);
 
 /// Replicate a per-vertex function of the base across all copies.

@@ -61,8 +61,6 @@ CoarseLevel coarsen_heavy_edge(const Graph& g, std::span<const double> w,
     const Vertex cv = out.parent[static_cast<std::size_t>(v)];
     if (cu != cv) builder.add_edge(cu, cv, g.edge_cost(e));
   }
-  for (Vertex v = 0; v < coarse_n; ++v)
-    builder.set_vertex_weight(v, out.weights[static_cast<std::size_t>(v)]);
   out.graph = builder.build();
   return out;
 }

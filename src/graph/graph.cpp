@@ -27,7 +27,6 @@ bool compute_is_grid_graph(const Graph& g) {
 
 GraphBuilder::GraphBuilder(Vertex num_vertices) : n_(num_vertices) {
   MMD_REQUIRE(num_vertices >= 0, "negative vertex count");
-  vweight_.assign(static_cast<std::size_t>(n_), 1.0);
 }
 
 void GraphBuilder::add_edge(Vertex u, Vertex v, double cost) {
@@ -38,17 +37,6 @@ void GraphBuilder::add_edge(Vertex u, Vertex v, double cost) {
               "too many edges");
   if (u > v) std::swap(u, v);
   edges_.push_back({u, v, cost});
-}
-
-void GraphBuilder::set_vertex_weight(Vertex v, double w) {
-  MMD_REQUIRE(v >= 0 && v < n_, "vertex id out of range");
-  MMD_REQUIRE(w >= 0.0 && std::isfinite(w), "vertex weight must be finite and >= 0");
-  vweight_[static_cast<std::size_t>(v)] = w;
-}
-
-void GraphBuilder::set_all_vertex_weights(std::span<const double> w) {
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == n_, "weight vector arity mismatch");
-  for (Vertex v = 0; v < n_; ++v) set_vertex_weight(v, w[static_cast<std::size_t>(v)]);
 }
 
 void GraphBuilder::set_coords(Vertex v, std::span<const std::int32_t> xyz) {
@@ -97,7 +85,6 @@ Graph GraphBuilder::build() {
   Graph g;
   g.n_ = n_;
   g.m_ = static_cast<EdgeId>(m);
-  g.vweight_ = std::move(vweight_);
   g.dim_ = dim_;
   g.coords_ = std::move(coords_);
 

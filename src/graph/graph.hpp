@@ -4,9 +4,11 @@
 // finite undirected graph without self-loops or parallel edges (paper,
 // "Notation"), carrying
 //   * edge costs   c : E -> R+   (communication cost of a dependency)
-//   * vertex weights w : V -> R+ (processing time of a job)
 //   * optionally integer coordinates in Z^d, marking the graph as a
 //     d-dimensional grid graph (Section 6) or a geometric instance.
+// Vertex weights w : V -> R+ (processing time of a job) are not stored
+// here: every entry point takes the caller's w, the one weight store, so
+// a graph serves any number of weight vectors.
 //
 // The graph is immutable after construction (GraphBuilder); algorithms
 // address sub-instances as vertex subsets over the host graph instead of
@@ -212,16 +214,6 @@ class Graph {
     return {half_.data() + b, offset(v + 1) - b, {ecost_.data()}};
   }
 
-  double edge_cost_unchecked(EdgeId e) const {
-    assert_edge(e);
-    return ecost_[static_cast<std::size_t>(e)];
-  }
-
-  double vertex_weight_unchecked(Vertex v) const {
-    assert_vertex(v);
-    return vweight_[static_cast<std::size_t>(v)];
-  }
-
   int degree(Vertex v) const {
     check_vertex(v);
     return static_cast<int>(offset(v + 1) - offset(v));
@@ -239,12 +231,6 @@ class Graph {
     return {en.tail, en.head};
   }
 
-  double vertex_weight(Vertex v) const {
-    check_vertex(v);
-    return vweight_[static_cast<std::size_t>(v)];
-  }
-
-  std::span<const double> vertex_weights() const { return vweight_; }
   std::span<const double> edge_costs() const { return ecost_; }
 
   /// c-weighted degree c(delta(v)); Delta_c = max over v (Theorem 4).
@@ -297,8 +283,7 @@ class Graph {
            xadj64_.capacity() * sizeof(std::uint64_t) +
            half_.capacity() * sizeof(graph_detail::PackedHalf) +
            ends_.capacity() * sizeof(graph_detail::EdgeEnds) +
-           (ecost_.capacity() + vweight_.capacity() + wdeg_.capacity()) *
-               sizeof(double) +
+           (ecost_.capacity() + wdeg_.capacity()) * sizeof(double) +
            coords_.capacity() * sizeof(std::int32_t);
   }
 
@@ -322,9 +307,6 @@ class Graph {
   void assert_vertex([[maybe_unused]] Vertex v) const {
     MMD_ASSERT(v >= 0 && v < n_, "vertex id out of range");
   }
-  void assert_edge([[maybe_unused]] EdgeId e) const {
-    MMD_ASSERT(e >= 0 && e < m_, "edge id out of range");
-  }
 
   Vertex n_ = 0;
   EdgeId m_ = 0;
@@ -334,7 +316,6 @@ class Graph {
   std::vector<graph_detail::PackedHalf> half_;  // size 2m, (to, id) packed
   std::vector<graph_detail::EdgeEnds> ends_;    // size m, tail < head
   std::vector<double> ecost_;          // size m
-  std::vector<double> vweight_;        // size n
   std::vector<double> wdeg_;           // size n, c(delta(v))
   double max_wdeg_ = 0.0;
   int max_deg_ = 0;
@@ -354,9 +335,6 @@ class GraphBuilder {
   /// before any CSR memory is spent — once the raw edge count would
   /// exceed the EdgeId range.
   void add_edge(Vertex u, Vertex v, double cost);
-
-  void set_vertex_weight(Vertex v, double w);
-  void set_all_vertex_weights(std::span<const double> w);
 
   /// Attach d-dimensional integer coordinates (call once per vertex).
   void set_coords(Vertex v, std::span<const std::int32_t> xyz);
@@ -384,7 +362,6 @@ class GraphBuilder {
     double cost;
   };
   std::vector<RawEdge> edges_;
-  std::vector<double> vweight_;
   std::vector<std::int32_t> coords_;
   std::vector<bool> coords_set_;
 };

@@ -24,7 +24,7 @@ const char* to_string(ServiceStatus status) {
 
 PartitionService::PartitionService(const PartitionServiceOptions& options)
     : options_(options), queue_(options.queue_capacity) {
-  MMD_REQUIRE(options.num_workers >= 1, "num_workers must be >= 1");
+  require_thread_count(options.num_workers, "num_workers");
   // The contexts' pool policy (OwnedPool): the serial round loop computes
   // identical responses, so a pool that cannot be built only reports on
   // diag_.  The service keeps no pool counters of its own.
@@ -37,14 +37,7 @@ PartitionService::~PartitionService() { shutdown(); }
 void PartitionService::load_graph(const std::string& name, Graph g,
                                   std::vector<double> weights) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  if (weights.empty()) {
-    const std::span<const double> embedded = g.vertex_weights();
-    if (embedded.size() == n) {
-      weights.assign(embedded.begin(), embedded.end());
-    } else {
-      weights.assign(n, 1.0);
-    }
-  }
+  if (weights.empty()) weights.assign(n, 1.0);
   MMD_REQUIRE(weights.size() == n, "weight arity mismatch for graph '" + name + "'");
 
   auto state = std::make_shared<GraphState>();

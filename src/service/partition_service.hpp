@@ -167,7 +167,10 @@ struct PartitionServiceOptions {
   std::size_t queue_capacity = 256;
   /// Service-level worker lanes for a round's per-graph groups; 1 =
   /// groups run serially on the leader.  Independent of (and composing
-  /// with) per-request DecomposeOptions::num_threads.
+  /// with) per-request DecomposeOptions::num_threads.  Both must lie in
+  /// [1, kMaxThreads]: the constructor throws std::invalid_argument on a
+  /// num_workers outside it, and a request with such a num_threads is
+  /// answered BadRequest.
   int num_workers = 1;
 };
 
@@ -184,8 +187,8 @@ class PartitionService {
   PartitionService& operator=(const PartitionService&) = delete;
 
   /// Register `g` under `name` (replacing any previous graph of that
-  /// name, contexts included).  `weights` empty = the graph's embedded
-  /// vertex weights, or all-ones if it has none.
+  /// name, contexts included).  `weights` are the graph's registered
+  /// weights; empty means all ones.
   /// \throws std::invalid_argument on a weight arity mismatch
   void load_graph(const std::string& name, Graph g,
                   std::vector<double> weights = {});

@@ -244,8 +244,9 @@ check "--window-scan (removed)" 2 $?
 # 17. --serve request fields: valid sweep_mode values answer ok; removed
 #     or unknown values, the removed window_scan field, and non-integral
 #     or out-of-range integer fields are in-band bad_requests (never
-#     silently ignored or truncated); a timeout past the clock's range
-#     means no deadline.  The session survives all of it.
+#     silently ignored or truncated), and so is a thread count above the
+#     cap of 256; a timeout past the clock's range means no deadline.  The
+#     session survives all of it.
 sm_out="$tmp/serve_sm.out"
 {
   echo '{"op":"load","graph":"g","path":"'"$good"'"}'
@@ -259,6 +260,7 @@ sm_out="$tmp/serve_sm.out"
   echo '{"op":"decompose","graph":"g","k":3,"mode":"fast","seed":-1}'
   echo '{"op":"decompose","graph":"g","k":3,"timeout_ms":10000000000000}'
   echo '{"op":"decompose","graph":"g","k":3.0}'
+  echo '{"op":"decompose","graph":"g","k":3,"threads":100000}'
 } | "$bin" --serve > "$sm_out"
 check "--serve request-field session, EOF exit" 0 $?
 sm_line() { sed -n "${1}p" "$sm_out"; }
@@ -280,6 +282,7 @@ expect_sm "threads 2.5 rejected" 8 '"status":"bad_request"'
 expect_sm "negative seed rejected" 9 '"status":"bad_request"'
 expect_sm "huge timeout means no deadline" 10 '"status":"ok"'
 expect_sm "integral k 3.0 accepted" 11 '"status":"ok"'
+expect_sm "threads above the cap rejected" 12 '"status":"bad_request"'
 
 # 17b. Numeric flags are parsed strictly: trailing garbage is bad usage,
 #      never a silently adopted numeric prefix; a timeout past the clock's
@@ -297,6 +300,12 @@ for args in "--workers 2x" "--queue 3x" "--budget-kb 1x"; do
 done
 "$bin" -k 3 --quiet --timeout-ms 9000000000000000 "$good"
 check "--timeout-ms past the clock's range" 0 $?
+# Thread counts above the cap of 256 are bad usage, refused before any
+# thread starts.
+"$bin" -k 3 --threads 100000 --quiet "$good" 2> /dev/null
+check "--threads above the cap" 2 $?
+"$bin" --serve --workers 100000 < /dev/null > /dev/null 2>&1
+check "--workers above the cap" 2 $?
 
 # 18. trace_replay strict argument parsing: malformed numeric flags are
 #     bad usage (exit 2) and never silently run with a default value —

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/fast.hpp"
 #include "gen/basic.hpp"
 #include "gen/geometric.hpp"
 #include "gen/grid.hpp"
@@ -213,6 +214,37 @@ TEST(ContextThreads, ReuseAcrossKAndWeights) {
   EXPECT_EQ(threaded.coloring.color, serial.coloring.color);
   EXPECT_EQ(ctx.stats().pool_builds, 1);
   EXPECT_EQ(ctx.stats().splitter_builds, 1);
+}
+
+TEST(ContextThreads, ThreadCountAboveCapIsRejectedBeforeAnyPool) {
+  // num_threads comes from outside input (the serve "threads" field,
+  // --threads), so a count above kMaxThreads is refused before any pool is
+  // built: no request can park thousands of threads in a cached context.
+  const Graph g = make_grid_cube(2, 8);
+  const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
+  DecomposeOptions opt;
+  opt.k = 4;
+  DecomposeOptions over = opt;
+  over.num_threads = kMaxThreads + 1;
+  FastOptions fopt;
+  fopt.inner = opt;
+  FastOptions fover;
+  fover.inner = over;
+  EXPECT_THROW((DecomposeContext{g, over}), std::invalid_argument);
+  EXPECT_THROW((FastContext{g, fover}), std::invalid_argument);
+
+  // A warm context refuses it per call and keeps its serial state.
+  DecomposeContext ctx(g, opt);
+  FastContext fctx(g, fopt);
+  EXPECT_THROW(ctx.decompose(w, over), std::invalid_argument);
+  EXPECT_THROW(ctx.repartition({}, over), std::invalid_argument);
+  EXPECT_THROW(fctx.decompose(w, fover), std::invalid_argument);
+  EXPECT_EQ(ctx.thread_pool(), nullptr);
+  EXPECT_EQ(ctx.options().num_threads, 1);
+  EXPECT_EQ(ctx.stats().pool_builds + ctx.stats().pool_construct_failures, 0);
+  EXPECT_EQ(fctx.stats().pool_builds + fctx.stats().pool_construct_failures,
+            0);
+  expect_total_coloring(g, ctx.decompose(w).coloring);
 }
 
 TEST(ContextThreads, MultiDecomposeThreadedMatchesSerial) {

@@ -60,8 +60,8 @@ TEST(DecomposeMulti, MatchesPlainDecomposeWithoutExtras) {
 }
 
 TEST(DecomposeMulti, ExtrasRejectOptionsThatCannotBalanceThem) {
-  // Bisection and seeded refinement balance psi only, so with extra
-  // measures they are refused instead of silently replaced by Paper.
+  // The bisection warm start balances psi only, so with extra measures it
+  // is refused instead of silently replaced by Paper.
   const Graph g = make_grid_cube(2, 8);
   const auto psi = testing::weights_for(g, WeightModel::Uniform, 3);
   const auto phi = testing::weights_for(g, WeightModel::Zipf, 5);
@@ -73,13 +73,6 @@ TEST(DecomposeMulti, ExtrasRejectOptionsThatCannotBalanceThem) {
     EXPECT_THROW(decompose_multi(g, psi, extra, opt), std::invalid_argument)
         << static_cast<int>(init);
   }
-  DecomposeOptions opt;
-  opt.k = 4;
-  const DecomposeResult base = decompose(g, psi, opt);
-  PriorSolution prior;
-  prior.coloring = &base.coloring;
-  opt.prior = &prior;
-  EXPECT_THROW(decompose_multi(g, psi, extra, opt), std::invalid_argument);
 }
 
 TEST(DecomposeMulti, ClimateComputePlusMemoryScenario) {

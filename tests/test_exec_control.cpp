@@ -161,6 +161,56 @@ TEST_F(ExecControlDecompose, MultiDecomposeHonorsTheDeadlineAtEntry) {
   EXPECT_EQ(fault::splits_seen(), 0);
 }
 
+/// Runs `call` with `base` plus a fresh cancel token, then fires the token
+/// and lets it go out of scope: a context that kept the call's exec would
+/// throw Cancelled on its next call, or read a dead token.
+template <class Call>
+void with_spent_token(DecomposeOptions base, Call call) {
+  CancelToken token;
+  base.exec.cancel = &token;
+  call(base);
+  token.request_cancel();
+}
+
+TEST_F(ExecControlDecompose, PerCallExecDoesNotOutliveItsCall) {
+  // A call's exec applies to that call only: the calls without options
+  // after it run with the constructor's (unlimited) exec and answer like
+  // a twin context that never saw a limit.
+  const Fixture f = small_grid_fixture();
+  std::vector<double> extra(f.w.size(), 1.0);
+  const std::vector<MeasureRef> refs{MeasureRef(extra)};
+  const std::vector<WeightDelta> drift{{3, 2.0}, {40, 0.5}};
+  DecomposeContext ctx(f.g, f.opt);
+  DecomposeContext twin(f.g, f.opt);
+  ctx.set_weights(f.w);
+  twin.set_weights(f.w);
+
+  DecomposeOptions expired = f.opt;
+  expired.exec = ExecControl::with_timeout_ms(0);
+  EXPECT_THROW(ctx.decompose(f.w, expired), DeadlineExceeded);
+  EXPECT_EQ(ctx.decompose(f.w).coloring.color,
+            twin.decompose(f.w).coloring.color);
+
+  with_spent_token(f.opt, [&](const DecomposeOptions& o) {
+    ctx.decompose(f.w, o);
+  });
+  EXPECT_EQ(ctx.decompose(f.w).coloring.color,
+            twin.decompose(f.w).coloring.color);
+
+  with_spent_token(f.opt, [&](const DecomposeOptions& o) {
+    ctx.repartition({}, o);
+  });
+  twin.repartition();
+  EXPECT_EQ(ctx.repartition(drift).coloring.color,
+            twin.repartition(drift).coloring.color);
+
+  with_spent_token(f.opt, [&](const DecomposeOptions& o) {
+    ctx.decompose_multi(f.w, refs, o);
+  });
+  EXPECT_EQ(ctx.decompose_multi(f.w, refs).coloring.color,
+            twin.decompose_multi(f.w, refs).coloring.color);
+}
+
 TEST_F(ExecControlDecompose, CancelFiresExactlyAtTheArmedCheckpoint) {
   // The cancellation-latency bound, measured: for any checkpoint index N,
   // injecting a cancel at N terminates the call at exactly checkpoint N —
@@ -345,6 +395,32 @@ TEST_F(ExecControlFast, CancellationNeverDegradesItAlwaysThrows) {
   EXPECT_GT(threw, 0);
   const FastResult clean = ctx.decompose(w);
   EXPECT_EQ(clean.coloring.color, reference.coloring.color);
+}
+
+TEST_F(ExecControlFast, PerCallExecDoesNotOutliveItsCall) {
+  // FastContext follows DecomposeContext's rule; its repartition() takes
+  // no options, so a token could only reach it through a decompose call.
+  const Graph g = make_grid_cube(2, 12);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 29);
+  FastOptions opt;
+  opt.inner.k = 4;
+  opt.coarse_target = 40;
+  const std::vector<WeightDelta> drift{{5, 2.0}};
+  FastContext ctx(g, opt);
+  FastContext twin(g, opt);
+  ctx.set_weights(w);
+  twin.set_weights(w);
+  const auto carry = [&](const DecomposeOptions& inner) {
+    FastOptions o = opt;
+    o.inner = inner;
+    ctx.decompose(w, o);
+  };
+
+  with_spent_token(opt.inner, carry);
+  EXPECT_EQ(ctx.decompose(w).coloring.color, twin.decompose(w).coloring.color);
+  with_spent_token(opt.inner, carry);
+  EXPECT_EQ(ctx.repartition(drift).coloring.color,
+            twin.repartition(drift).coloring.color);
 }
 
 TEST_F(ExecControlFast, ExpiredWallClockDeadlineAtEntryThrows) {

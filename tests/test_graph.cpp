@@ -51,21 +51,6 @@ TEST(GraphBuilder, WeightedDegree) {
   EXPECT_DOUBLE_EQ(g.max_weighted_degree(), 20.0);
 }
 
-TEST(GraphBuilder, DefaultVertexWeightsAreOne) {
-  const Graph g = two_triangles();
-  for (Vertex v = 0; v < g.num_vertices(); ++v)
-    EXPECT_DOUBLE_EQ(g.vertex_weight(v), 1.0);
-}
-
-TEST(GraphBuilder, SetVertexWeights) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1, 1.0);
-  b.set_vertex_weight(1, 7.5);
-  const Graph g = b.build();
-  EXPECT_DOUBLE_EQ(g.vertex_weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(g.vertex_weight(1), 7.5);
-}
-
 TEST(GraphBuilder, CoalescesParallelEdges) {
   GraphBuilder b(2);
   b.add_edge(0, 1, 1.5);
@@ -84,8 +69,6 @@ TEST(GraphBuilder, RejectsBadInputs) {
   GraphBuilder b(2);
   EXPECT_THROW(b.add_edge(0, 2, 1.0), std::invalid_argument);
   EXPECT_THROW(b.add_edge(0, 1, -1.0), std::invalid_argument);
-  EXPECT_THROW(b.set_vertex_weight(5, 1.0), std::invalid_argument);
-  EXPECT_THROW(b.set_vertex_weight(0, -2.0), std::invalid_argument);
 }
 
 TEST(GraphBuilder, RejectsPartialCoordinates) {

@@ -146,10 +146,10 @@ TEST(MemoryEstimate, CompactCsrCutsBytesPerEdge) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   const auto m = static_cast<std::size_t>(g.num_edges());
   const std::size_t est = g.memory_bytes() - sizeof(g);
-  // Strip the per-vertex attributes (vweight, wdeg, coords) shared by both
-  // layouts; what remains is offsets + adjacency + endpoints + costs.
+  // Strip the per-vertex attributes (wdeg, coords) shared by both layouts;
+  // what remains is offsets + adjacency + endpoints + costs.
   const std::size_t vert_bytes =
-      2 * n * sizeof(double) +
+      n * sizeof(double) +
       n * static_cast<std::size_t>(g.dim()) * sizeof(std::int32_t);
   ASSERT_GT(est, vert_bytes);
   const std::size_t edge_bytes = est - vert_bytes;

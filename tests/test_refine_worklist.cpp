@@ -1,10 +1,12 @@
-// Refinement-equivalence suite: the worklist engine must never do worse
-// than the seed sweep on the max-boundary objective, must preserve strict
-// balance, and must run allocation-free in steady state when handed a
-// warm RefineWorkspace.
+// Refinement-equivalence suite: minmax_refine's worklist engine must give
+// exactly the coloring of the seed's full-sweep engine (kept here as the
+// oracle), must preserve strict balance, and must run allocation-free in
+// steady state when handed a warm RefineWorkspace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 
@@ -65,6 +67,108 @@ std::vector<Instance> instances() {
   return out;
 }
 
+/// The oracle: the seed's sweep engine.  Full passes of try_move over
+/// every vertex in id order until a pass accepts no move, with the
+/// library's acceptance arithmetic — strict balance feasibility, then a
+/// lexicographic improvement of (max, total) class boundary, the first
+/// accepted class taken — and its threshold-counter tracking of the
+/// running maximum.
+MinmaxRefineStats sweep_refine(const Graph& g, Coloring& chi,
+                               std::span<const double> w,
+                               const MinmaxRefineOptions& opt = {}) {
+  constexpr double kTol = 1e-12;
+  const int k = chi.k;
+  const Vertex n = g.num_vertices();
+  std::vector<double> bc(k), cw(k), toward(k);
+  std::vector<long> seen(k, -1);  // the try_move call that registered c
+  long call = 0;
+  std::vector<std::int32_t> touched;
+  double cur_max = 0.0, total = 0.0;
+  int at_max = 0;  // classes within kTol of cur_max
+  const auto boundary_costs = [&] {
+    std::fill(bc.begin(), bc.end(), 0.0);
+    for (Vertex v = 0; v < n; ++v) {
+      double cross = 0.0;
+      for (const HalfEdge& h : g.incidence(v))
+        if (chi[h.to] != chi[v]) cross += h.cost;
+      bc[chi[v]] += cross;
+    }
+  };
+  const auto recompute_max = [&] {
+    cur_max = 0.0;
+    for (const double b : bc) cur_max = std::max(cur_max, b);
+    at_max = 0;
+    for (const double b : bc) at_max += b >= cur_max - kTol ? 1 : 0;
+  };
+  boundary_costs();
+  for (Vertex v = 0; v < n; ++v) cw[chi[v]] += w[v];
+  recompute_max();
+  for (const double b : bc) total += b;
+  const double avg = norm1(w) / k;
+  const double slack = opt.balance_slack * (1.0 - 1.0 / k) * norm_inf(w) +
+                       1e-12 * std::max(1.0, avg);
+
+  MinmaxRefineStats stats;
+  stats.max_boundary_before = cur_max;
+  const auto try_move = [&](Vertex v) {
+    const std::int32_t from = chi[v];
+    ++call;
+    touched.clear();
+    double toward_all = 0.0;
+    bool boundary = false;
+    for (const HalfEdge& h : g.incidence(v)) {
+      const std::int32_t c = chi[h.to];
+      if (seen[c] != call) {
+        seen[c] = call;
+        toward[c] = 0.0;
+        touched.push_back(c);
+      }
+      toward[c] += h.cost;
+      toward_all += h.cost;
+      boundary = boundary || c != from;
+    }
+    if (!boundary || std::abs(cw[from] - w[v] - avg) > slack) return false;
+    const double s_from = seen[from] == call ? toward[from] : 0.0;
+    const double new_from = bc[from] + s_from - (toward_all - s_from);
+    for (const std::int32_t to : touched) {
+      if (to == from || std::abs(cw[to] + w[v] - avg) > slack) continue;
+      const double new_to = bc[to] + (toward_all - toward[to]) - toward[to];
+      const double new_total =
+          total + (new_from - bc[from]) + (new_to - bc[to]);
+      const double pair_max = std::max(new_from, new_to);
+      if (pair_max > cur_max + kTol) continue;
+      const bool improves_max =
+          (bc[from] >= cur_max - kTol || bc[to] >= cur_max - kTol) &&
+          pair_max < cur_max - kTol;
+      if (!improves_max && !(new_total < total - kTol)) continue;
+      chi[v] = to;
+      cw[from] -= w[v];
+      cw[to] += w[v];
+      for (const std::int32_t c : {from, to})
+        at_max -= bc[c] >= cur_max - kTol ? 1 : 0;
+      bc[from] = new_from;
+      bc[to] = new_to;
+      for (const std::int32_t c : {from, to})
+        at_max += bc[c] >= cur_max - kTol ? 1 : 0;
+      if (at_max <= 0) recompute_max();
+      total = new_total;
+      ++stats.moves;
+      return true;
+    }
+    return false;
+  };
+  for (int pass = 0; k > 1 && pass < opt.max_passes; ++pass) {
+    ++stats.rounds;
+    bool improved = false;
+    for (Vertex v = 0; v < n; ++v) improved = try_move(v) || improved;
+    if (!improved) break;
+  }
+  boundary_costs();
+  recompute_max();
+  stats.max_boundary_after = cur_max;
+  return stats;
+}
+
 /// A strictly balanced but unrefined coloring, as decompose() hands to the
 /// refinement phase.
 Coloring unrefined_coloring(const Graph& g, std::span<const double> w, int k) {
@@ -83,18 +187,15 @@ TEST(RefineWorklist, NeverWorseThanSweepFromPipelineColorings) {
         const Coloring base = unrefined_coloring(g, w, k);
 
         Coloring sweep_chi = base;
-        MinmaxRefineOptions sweep_opt;
-        sweep_opt.engine = RefineEngine::Sweep;
-        const auto sweep = minmax_refine(g, sweep_chi, w, sweep_opt);
+        const auto sweep = sweep_refine(g, sweep_chi, w);
 
         Coloring work_chi = base;
-        MinmaxRefineOptions work_opt;  // default engine: worklist
-        const auto work = minmax_refine(g, work_chi, w, work_opt);
+        const auto work = minmax_refine(g, work_chi, w);
 
         EXPECT_LE(work.max_boundary_after, sweep.max_boundary_after + 1e-9)
             << inst.name << " k=" << k << " seed=" << seed;
-        // The engines are documented as bit-identical, not merely
-        // equal-quality; hold them to it.
+        // The worklist is documented as bit-identical to the sweep, not
+        // merely equal-quality; hold it to that.
         EXPECT_EQ(work_chi.color, sweep_chi.color)
             << inst.name << " k=" << k << " seed=" << seed;
         EXPECT_LE(work.max_boundary_after, work.max_boundary_before + 1e-9);
@@ -115,11 +216,9 @@ TEST(RefineWorklist, NeverWorseThanSweepFromRandomColorings) {
       opt.balance_slack = 50.0;  // random start is unbalanced; allow room
 
       Coloring sweep_chi = base;
-      opt.engine = RefineEngine::Sweep;
-      const auto sweep = minmax_refine(g, sweep_chi, w, opt);
+      const auto sweep = sweep_refine(g, sweep_chi, w, opt);
 
       Coloring work_chi = base;
-      opt.engine = RefineEngine::Worklist;
       const auto work = minmax_refine(g, work_chi, w, opt);
 
       EXPECT_LE(work.max_boundary_after, sweep.max_boundary_after + 1e-9)
@@ -147,24 +246,24 @@ TEST(RefineWorklist, PreservesStrictBalance) {
 TEST(RefineWorklist, HandlesZeroCostEdges) {
   // A class reachable only through cost-0 edges used to be registered once
   // per such edge (the toward[c] == 0.0 sentinel never tripped); the epoch
-  // stamp registers it exactly once.  Behaviorally: both engines stay
-  // valid and never increase the max boundary on graphs full of zero-cost
-  // edges.
+  // stamp registers it exactly once.  Behaviorally: the engine stays
+  // valid, never increases the max boundary on graphs full of zero-cost
+  // edges, and still matches the sweep.
   GraphBuilder b(12);
   for (int i = 0; i < 12; ++i)
     b.add_edge(i, (i + 1) % 12, i % 3 == 0 ? 0.0 : 1.0);
   for (int i = 0; i < 6; ++i) b.add_edge(i, i + 6, 0.0);
   const Graph g = b.build();
   const std::vector<double> w(12, 1.0);
-  for (const auto engine : {RefineEngine::Sweep, RefineEngine::Worklist}) {
-    Coloring chi = random_coloring(g, 3, 7);
-    MinmaxRefineOptions opt;
-    opt.engine = engine;
-    opt.balance_slack = 10.0;
-    const auto stats = minmax_refine(g, chi, w, opt);
-    EXPECT_LE(stats.max_boundary_after, stats.max_boundary_before + 1e-12);
-    testing::expect_total_coloring(g, chi);
-  }
+  MinmaxRefineOptions opt;
+  opt.balance_slack = 10.0;
+  Coloring chi = random_coloring(g, 3, 7);
+  const auto stats = minmax_refine(g, chi, w, opt);
+  EXPECT_LE(stats.max_boundary_after, stats.max_boundary_before + 1e-12);
+  testing::expect_total_coloring(g, chi);
+  Coloring sweep_chi = random_coloring(g, 3, 7);
+  sweep_refine(g, sweep_chi, w, opt);
+  EXPECT_EQ(chi.color, sweep_chi.color);
 }
 
 TEST(RefineWorklist, WorkspaceReuseIsStateClean) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "core/context.hpp"
@@ -343,9 +344,41 @@ TEST(Repartition, ServiceRequestFlowMatchesLocalChain) {
   EXPECT_EQ(stats.errors, 2);
 }
 
+TEST(Repartition, InvalidKOrPThrowsBeforeAnythingIsAdopted) {
+  // The seeded attempt checks k and p itself: with a prior cached, a bad
+  // value throws std::invalid_argument instead of being served (and
+  // adopted) incrementally, and the chain then answers like a twin that
+  // never saw the bad calls.
+  const Graph g = drift_grid(16);
+  const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
+  DecomposeOptions opt;
+  opt.k = 4;
+  DecomposeContext ctx(g, opt);
+  DecomposeContext twin(g, opt);
+  ctx.set_weights(w);
+  twin.set_weights(w);
+  ctx.repartition();
+  twin.repartition();
+
+  const std::vector<WeightDelta> drift{{5, 1.5}, {77, 0.5}};
+  DecomposeOptions bad_k = opt;
+  bad_k.k = 0;
+  DecomposeOptions bad_p = opt;
+  bad_p.p = 1.0;
+  EXPECT_THROW(ctx.repartition(drift, bad_k), std::invalid_argument);
+  EXPECT_THROW(ctx.repartition(drift, bad_p), std::invalid_argument);
+
+  const DecomposeResult r = ctx.repartition(drift, opt);
+  const DecomposeResult t = twin.repartition(drift);
+  EXPECT_EQ(r.coloring.color, t.coloring.color);
+  EXPECT_EQ(r.incremental, t.incremental);
+  EXPECT_EQ(r.migration_cost, t.migration_cost);
+}
+
 TEST(Repartition, StandalonePriorSolutionThroughConvenienceOverload) {
   // The PriorSolution plumbing is usable without a context: assemble one
-  // by hand and hand it to the convenience decompose overload.
+  // by hand, try the seeded attempt, and fall back to the convenience
+  // decompose overload when the certificate fires.
   const Graph g = drift_grid(16);
   const int n = g.num_vertices();
   std::vector<double> w(static_cast<std::size_t>(n), 1.0);
@@ -364,12 +397,14 @@ TEST(Repartition, StandalonePriorSolutionThroughConvenienceOverload) {
   prior.max_boundary = base.max_boundary;
   prior.baseline_max_boundary = base.max_boundary;
   prior.dirty = dirty;
-  DecomposeOptions seeded = opt;
-  seeded.prior = &prior;
 
-  const DecomposeResult res = decompose(g, w, seeded);
-  EXPECT_TRUE(res.incremental || res.escalated);
-  EXPECT_GE(res.migration_cost, 0);
+  const std::optional<DecomposeResult> inc =
+      try_incremental_repartition(g, w, prior, opt);
+  const DecomposeResult res = inc ? *inc : decompose(g, w, opt);
+  EXPECT_EQ(res.incremental, inc.has_value());
+  if (inc) {
+    EXPECT_EQ(res.migration_cost, count_migration(base.coloring, res.coloring));
+  }
   expect_verified(g, w, res.coloring, "standalone prior");
 }
 

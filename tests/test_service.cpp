@@ -259,6 +259,30 @@ TEST_F(Service, TypedErrorsFlowThroughAndServiceStaysHealthy) {
   EXPECT_EQ(stats.errors, 5);
 }
 
+TEST_F(Service, ThreadCountsAboveCapAreRejected) {
+  PartitionServiceOptions so;
+  so.num_workers = kMaxThreads + 1;
+  EXPECT_THROW((PartitionService{so}), std::invalid_argument);
+
+  // A request's num_threads is answered BadRequest in every mode, cold or
+  // warm, and the context it would have reached keeps serving.
+  PartitionService service;
+  const Graph g = make_grid_cube(2, 6);
+  service.load_graph("g", Graph(g));
+  for (const RequestMode mode : {RequestMode::Decompose, RequestMode::Fast,
+                                 RequestMode::Repartition}) {
+    ServiceRequest over = make_request("g", 3, mode);
+    over.options.num_threads = kMaxThreads + 1;
+    EXPECT_EQ(service.execute(over).status, ServiceStatus::BadRequest);
+    ASSERT_EQ(service.execute(make_request("g", 3, mode)).status,
+              ServiceStatus::Ok);
+    EXPECT_EQ(service.execute(over).status, ServiceStatus::BadRequest);
+    const ServiceResponse warm = service.execute(make_request("g", 3, mode));
+    EXPECT_EQ(warm.status, ServiceStatus::Ok);
+    EXPECT_TRUE(warm.warm);
+  }
+}
+
 TEST_F(Service, MalformedGraphFileSurfacesAsParseErrorAndServiceSurvives) {
   PartitionService service;
   const std::string path = ::testing::TempDir() + "mmd_service_bad.graph";

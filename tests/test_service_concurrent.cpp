@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -103,9 +104,11 @@ TEST_F(ServiceConcurrent, MixedTrafficBitIdenticalToSerialOracle) {
   // (three graphs x two context kinds never all fit).
   so.context_budget_bytes = 64 << 10;
   PartitionService service(so);
-  for (std::size_t gi = 0; gi < graphs.size(); ++gi)
-    service.load_graph("g" + std::to_string(gi), Graph(graphs[gi]),
-                       ones(graphs[gi]));
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    std::string name = "g";
+    name += std::to_string(gi);
+    service.load_graph(name, Graph(graphs[gi]), ones(graphs[gi]));
+  }
 
   std::vector<ServiceResponse> responses(trace.size());
   std::atomic<std::size_t> next{0};

@@ -8,7 +8,8 @@ are combined row-wise by minimum time (best-of-N defeats scheduler noise).
 Rows are matched on (suite, config, side, k).  For decompose rows the seed
 reference is its "cold" time (the seed has no warm mode distinct from
 cold); speedups are reported for both the current cold and warm modes.
-For refine rows the seed reference is its "sweep" engine.  For quality
+For refine rows the seed reference is its "sweep" engine, or its
+"worklist" row when the seed binary has no sweep engine.  For quality
 suites (E13) the reference is the "default" sweep-mode row — the seed's
 better-of-two rule run on the identical instance — taken from the current
 side when the seed binary predates the suite, so "default" rows always
@@ -52,6 +53,9 @@ def main():
     seed_ref = {}
     for row in seed_rows:
         if row["mode"] in ("cold", "sweep", "default"):
+            seed_ref[ref_key(row)] = row
+    for row in seed_rows:
+        if row["mode"] == "worklist" and ref_key(row) not in seed_ref:
             seed_ref[ref_key(row)] = row
     # Quality suites reference their own "default" row when the seed binary
     # predates the suite (same instance, seed prefix rule, current binary).

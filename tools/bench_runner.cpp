@@ -23,7 +23,8 @@
 //     hierarchy + warm coarse context + persistent finest-level splitter,
 //     PR 3), and "fast-threads2/4/8" (FastContext with inner.num_threads
 //     = 2/4/8, again bit-identical by construction);
-//   * a min-max refinement microbench on random colorings, per engine.
+//   * a min-max refinement microbench (the worklist engine) on random
+//     and on converged colorings.
 //
 // Two runs' JSONs (before and after a change) merge into BENCH_*.json
 // with tools/bench_merge.py.
@@ -244,28 +245,19 @@ void bench_fast(const char* config, int side, int k) {
 }
 
 void bench_refine(const char* suite, int side, int k, const Coloring& base,
-                  const MinmaxRefineOptions& base_opt) {
+                  const MinmaxRefineOptions& opt) {
   const Graph g = make_grid_cube(2, side);
   const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
-  MinmaxRefineOptions opt = base_opt;
-
-  auto run_mode = [&](const char* mode) {
-    Row row{suite, "refine", side, g.num_vertices(), k, mode, 1e300, 0.0};
-    for (int r = 0; r < 7; ++r) {
-      Coloring chi = base;
-      Timer t;
-      const MinmaxRefineStats stats = minmax_refine(g, chi, w, opt);
-      row.ms = std::min(row.ms, t.seconds() * 1e3);
-      row.max_boundary = stats.max_boundary_after;
-      row.moves = stats.moves;
-    }
-    push_row(row);
-  };
-
-  opt.engine = RefineEngine::Worklist;
-  run_mode("worklist");
-  opt.engine = RefineEngine::Sweep;
-  run_mode("sweep");
+  Row row{suite, "refine", side, g.num_vertices(), k, "worklist", 1e300, 0.0};
+  for (int r = 0; r < 7; ++r) {
+    Coloring chi = base;
+    Timer t;
+    const MinmaxRefineStats stats = minmax_refine(g, chi, w, opt);
+    row.ms = std::min(row.ms, t.seconds() * 1e3);
+    row.max_boundary = stats.max_boundary_after;
+    row.moves = stats.moves;
+  }
+  push_row(row);
 }
 
 /// Hill climbing from a random coloring: the boundary is dense, so this

@@ -9,7 +9,8 @@
 //   --splitter <name>  auto | prefix | grid     (default auto)
 //   --sweep-mode <m>   default | window: the prefix rule of every sweep
 //                      (better-of-two crossing, or cheapest in-window)
-//   --threads <n>      thread-pool lanes (1 = serial; bit-identical)
+//   --threads <n>      thread-pool lanes, 1..256 (1 = serial;
+//                      bit-identical)
 //   --fork-depth <d>   multi_split lane-tree depth (0 = from --threads)
 //   --timeout-ms <ms>  deadline for the decomposition (DeadlineExceeded
 //                      -> exit 3; in --fast mode a deadline that expires
@@ -41,6 +42,8 @@
 // Server mode (docs/API.md, "The service layer"):
 //
 //   mmd_partition --serve [--budget-kb <kb>] [--queue <n>] [--workers <n>]
+//
+// (--workers 1..256, like --threads and a request's "threads" field.)
 //
 // reads one JSON object per line from stdin and answers one JSON object
 // per line on stdout, fronting a PartitionService (warm contexts, LRU
@@ -368,8 +371,10 @@ int main(int argc, char** argv) {
         if (q < 1) usage(argv[0]);
         so.queue_capacity = static_cast<std::size_t>(q);
       } else if (arg == "--workers") {
+        // Checked here: serve_main builds the service outside the error
+        // handling the one-shot mode has.
         so.num_workers = numeric_arg<int>(argv[0], "--workers", next());
-        if (so.num_workers < 1) usage(argv[0]);
+        if (so.num_workers < 1 || so.num_workers > kMaxThreads) usage(argv[0]);
       } else {
         usage(argv[0]);
       }
