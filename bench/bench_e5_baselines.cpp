@@ -17,8 +17,8 @@
 #include "baselines/kst.hpp"
 #include "baselines/multilevel.hpp"
 #include "baselines/random_part.hpp"
-#include "baselines/recursive_bisection.hpp"
 #include "bench_common.hpp"
+#include "core/bisection.hpp"
 #include "core/decompose.hpp"
 #include "instances/suite.hpp"
 #include "separators/prefix_splitter.hpp"
@@ -71,7 +71,7 @@ int main() {
 
     PrefixSplitter splitter;
     add("recursive bisection",
-        recursive_bisection(inst.graph, inst.weights, k, splitter));
+        recursive_bisection_coloring(inst.graph, inst.weights, k, splitter));
 
     PrefixSplitter ksts;
     add("KST (eps=0.25)",

@@ -9,8 +9,8 @@
 // bisection, which controls the average yet leaks a larger max/avg ratio.
 #include <algorithm>
 
-#include "baselines/recursive_bisection.hpp"
 #include "bench_common.hpp"
+#include "core/bisection.hpp"
 #include "core/decompose.hpp"
 #include "instances/tight.hpp"
 #include "separators/prefix_splitter.hpp"
@@ -32,8 +32,8 @@ int main() {
     const double ours_ratio = res.max_boundary / std::max(res.avg_boundary, 1e-12);
 
     PrefixSplitter splitter;
-    const Coloring rb =
-        recursive_bisection(inst.du.graph, inst.weights, k, splitter);
+    const Coloring rb = recursive_bisection_coloring(
+        inst.du.graph, inst.weights, k, splitter);
     const double rb_avg = avg_boundary_cost(inst.du.graph, rb);
     const double rb_max = max_boundary_cost(inst.du.graph, rb);
     const double rb_ratio = rb_max / std::max(rb_avg, 1e-12);

@@ -14,7 +14,7 @@
 #include <cstdlib>
 
 #include "baselines/greedy.hpp"
-#include "baselines/recursive_bisection.hpp"
+#include "core/bisection.hpp"
 #include "core/decompose.hpp"
 #include "gen/mesh.hpp"
 #include "separators/prefix_splitter.hpp"
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   mmd::PrefixSplitter splitter;
   report("recursive bisection",
-         mmd::recursive_bisection(g, inst.weights, k, splitter));
+         mmd::recursive_bisection_coloring(g, inst.weights, k, splitter));
   table.print();
 
   std::printf("\nDecomposition detail: max dev %.2f (allowed %.2f), "

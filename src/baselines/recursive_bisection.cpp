@@ -4,15 +4,9 @@
 #include <limits>
 #include <vector>
 
-#include "core/bisection.hpp"
 #include "separators/sweep_eval.hpp"
 
 namespace mmd {
-
-Coloring recursive_bisection(const Graph& g, std::span<const double> w, int k,
-                             ISplitter& splitter) {
-  return recursive_bisection_coloring(g, w, k, splitter);
-}
 
 namespace {
 

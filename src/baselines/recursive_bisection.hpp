@@ -1,19 +1,11 @@
-// Recursive bisection baseline (Simon & Teng [8], "How good is recursive
-// bisection?").  Splits the vertex set by weight-proportional splitting
-// sets into k parts.  Bounds the *total* (hence average) boundary cost but
-// makes no attempt to balance per-class boundary costs — the contrast the
-// paper draws in the related-work discussion, quantified by benches E5/E8.
+// Orthogonal recursive coordinate bisection (ORB) baseline.  The
+// weight-proportional recursive bisection baseline of Simon & Teng [8] is
+// recursive_bisection_coloring in core/bisection.hpp.
 #pragma once
 
 #include "graph/coloring.hpp"
-#include "separators/splitter.hpp"
 
 namespace mmd {
-
-/// Partition into k classes with weight of each class about k_i/k of the
-/// total (k_i the subtree leaf counts).  Returns a total coloring.
-Coloring recursive_bisection(const Graph& g, std::span<const double> w, int k,
-                             ISplitter& splitter);
 
 /// Orthogonal recursive coordinate bisection (the classical ORB mesh
 /// partitioner): recursively cut at the weighted prefix along the widest

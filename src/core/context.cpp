@@ -129,13 +129,15 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
     ++stats_.splitter_builds;
   }
   if (splitter_stale || pool_stale) splitter_->set_thread_pool(thread_pool());
-  // Never cache a caller's exec: its token only has to outlive the one
-  // call that carried it.  `options` may alias options_.
+  // Never cache a caller's exec or sink: its token and sink only have to
+  // outlive the one call that carried them.  `options` may alias options_.
   const ExecControl exec = options_.exec;
+  DecomposeDiagnostics* const diagnostics = options_.diagnostics;
   options_ = options;
   options_.exec = exec;
+  options_.diagnostics = diagnostics;
   // Per-call state invalidates nothing, so it is simply re-stamped; each
-  // call stamps its own exec on entry.
+  // call stamps its own exec and sink on entry.
   stamp_splitter(*splitter_, options_);
 }
 

@@ -135,13 +135,12 @@ class OwnedPool {
   int threads_ = 1;
 };
 
-/// The weight-drift chain both contexts hold (DecomposeContext::repartition
-/// and FastContext::repartition): the bound weight vector, the pending
-/// dirty set, and the cached prior solution with its baseline, which only
-/// the chain reads.  A context's repartition step updates the weights,
-/// tries the chain's seeded attempt, otherwise runs the context's own full
-/// solve (escalated, with its migration from the prior, when one is
-/// cached), and adopts the answer.  The contracts live here once:
+/// The weight-drift chain behind DecomposeContext::repartition: the bound
+/// weight vector, the pending dirty set, and the cached prior solution
+/// with its baseline, which only the chain reads.  A repartition step
+/// updates the weights, tries the chain's seeded attempt, otherwise runs
+/// the context's full solve (escalated, with its migration from the
+/// prior, when one is cached), and adopts the answer.  The contracts:
 ///
 ///   * update_weights validates every delta before mutating anything, and
 ///     deltas carry absolute weights, so a failed or repeated batch leaves
@@ -222,9 +221,10 @@ struct DecomposeContextStats {
 /// auto b = ctx.decompose(other_weights);  // zero rebuilds, zero allocs
 /// ```
 ///
-/// Per-call options become the bound options, except their `exec`: a call
-/// that passes options runs with that deadline and token for that call
-/// only, and a call without options runs with the constructor's.
+/// Per-call options become the bound options, except their `exec` and
+/// `diagnostics`: a call that passes options runs with that deadline,
+/// token and sink for that call only, and a call without options runs
+/// with the constructor's.
 class DecomposeContext {
  public:
   /// Bind to `g` (borrowed; must outlive the context) and build the
@@ -250,10 +250,11 @@ class DecomposeContext {
   /// Theorem 4 decomposition with the bound options (see decompose.hpp).
   DecomposeResult decompose(std::span<const double> w);
 
-  /// Same with per-call options, which the context binds (their exec for
-  /// this call only); the splitter and pool are rebuilt only if `options`
-  /// actually changes the splitter kind or the thread count, so sweeping
-  /// k, weights, tolerances, or the sweep mode stays on the warm path.
+  /// Same with per-call options, which the context binds (their exec and
+  /// diagnostics for this call only); the splitter and pool are rebuilt
+  /// only if `options` actually changes the splitter kind or the thread
+  /// count, so sweeping k, weights, tolerances, or the sweep mode stays on
+  /// the warm path.
   DecomposeResult decompose(std::span<const double> w,
                             const DecomposeOptions& options);
 
@@ -302,7 +303,8 @@ class DecomposeContext {
                                        const DecomposeOptions& options);
 
   const Graph& graph() const { return *g_; }
-  /// The bound options: the last call's, with the constructor's exec.
+  /// The bound options: the last call's, with the constructor's exec and
+  /// diagnostics.
   const DecomposeOptions& options() const { return options_; }
   /// The owned splitter (stable across calls; scratch and OrderingCache
   /// stay warm inside it).
@@ -336,8 +338,8 @@ class DecomposeContext {
   }
 
  private:
-  /// Bind `options` (keeping the constructor's exec) and make the
-  /// splitter/pool match them, rebuilding only on actual change.
+  /// Bind `options` (keeping the constructor's exec and diagnostics) and
+  /// make the splitter/pool match them, rebuilding only on actual change.
   void reconcile(const DecomposeOptions& options);
 
   ExclusiveUse use_;

@@ -54,9 +54,9 @@ struct WeightDelta {
 };
 
 /// A borrowed previous solution, the seed of try_incremental_repartition.
-/// Everything here is borrowed and must outlive the call; both contexts'
-/// repartition chains assemble one from their cached state
-/// (RepartitionChain) — standalone callers can too.  It carries no
+/// Everything here is borrowed and must outlive the call;
+/// DecomposeContext's repartition chain assembles one from its cached
+/// state (RepartitionChain) — standalone callers can too.  It carries no
 /// per-class sums: the balance certificate recomputes them under the
 /// current weights.
 struct PriorSolution {
@@ -157,11 +157,14 @@ struct DecomposeOptions {
   /// conditions the library would otherwise have to log: laneless
   /// fallback, pool construction failure, degraded fast-mode results.
   /// nullptr (default) counts nowhere; the library never writes to
-  /// stderr.  Must outlive every call using these options.
+  /// stderr.  Must outlive every call using these options.  Like `exec`,
+  /// a context applies the sink of per-call options to that call only;
+  /// its calls without options, and its concurrent-entry reports, use
+  /// the constructor's.
   DecomposeDiagnostics* diagnostics = nullptr;
 
   /// Escalation thresholds of try_incremental_repartition (the seeded
-  /// step of both contexts' repartition chains).
+  /// step of DecomposeContext::repartition).
   IncrementalOptions incremental;
 };
 
@@ -231,8 +234,8 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
 /// `prior` over its dirty region, or std::nullopt when the escalation
 /// certificate fires (prior structurally unusable, no longer within the
 /// balance headroom under `w`, dirty region too large, or refined boundary
-/// outside the growth envelope).  decompose() always solves cold; both
-/// contexts' repartition chains call this first and fall back to their
+/// outside the growth envelope).  decompose() always solves cold;
+/// DecomposeContext::repartition calls this first and falls back to its
 /// full solve, and a standalone caller does the same: call this, and call
 /// decompose() when it returns std::nullopt.
 /// \throws std::invalid_argument on an invalid k or p, a weight arity

@@ -9,8 +9,7 @@ namespace mmd {
 
 FastContext::FastContext(const Graph& g, const FastOptions& options,
                          DecomposeWorkspace* external_ws)
-    : g_(&g), options_(options), ws_(external_ws ? external_ws : &own_ws_),
-      chain_(g.num_vertices()) {
+    : g_(&g), options_(options), ws_(external_ws ? external_ws : &own_ws_) {
   reconcile(options);
 }
 
@@ -30,11 +29,13 @@ void FastContext::reconcile(const FastOptions& options) {
   const bool pool_stale = pool_.stale(options.inner.num_threads);
   const bool fine_splitter_stale =
       options.inner.splitter != options_.inner.splitter;
-  // Same rule as DecomposeContext::reconcile: a caller's exec is per-call
-  // state, never cached.  `options` may alias options_.
+  // Same rule as DecomposeContext::reconcile: a caller's exec and sink are
+  // per-call state, never cached.  `options` may alias options_.
   const ExecControl exec = options_.inner.exec;
+  DecomposeDiagnostics* const diagnostics = options_.inner.diagnostics;
   options_ = options;
   options_.inner.exec = exec;
+  options_.inner.diagnostics = diagnostics;
 
   if (hierarchy_stale) {
     levels_built_ = false;
@@ -91,16 +92,15 @@ void FastContext::ensure_levels(std::span<const double> w) {
   if (coarse_ctx_ == nullptr) {
     const Graph& coarsest = levels_.empty() ? *g_ : levels_.back().graph;
     coarse_ctx_ = std::make_unique<DecomposeContext>(
-        coarsest, coarse_options(options_.inner.exec), ws_, pool_.get());
+        coarsest, coarse_options(options_.inner), ws_, pool_.get());
   }
 }
 
-DecomposeOptions FastContext::coarse_options(const ExecControl& exec) const {
-  DecomposeOptions inner = options_.inner;
-  inner.use_refinement = true;
-  inner.num_threads = 1;  // the shared pool is supplied externally
-  inner.exec = exec;
-  return inner;
+DecomposeOptions FastContext::coarse_options(const DecomposeOptions& inner) {
+  DecomposeOptions out = inner;
+  out.use_refinement = true;
+  out.num_threads = 1;  // the shared pool is supplied externally
+  return out;
 }
 
 ISplitter& FastContext::fine_splitter(const DecomposeOptions& inner) {
@@ -124,13 +124,11 @@ FastResult FastContext::decompose(std::span<const double> w,
                                   const FastOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
-  return solve(w, options.inner.exec);
-}
-
-FastResult FastContext::solve(std::span<const double> w,
-                              const ExecControl& exec) {
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
               "weight arity mismatch");
+  // The call's own exec and sink; everything else is the bound options.
+  const DecomposeOptions inner = coarse_options(options.inner);
+  const ExecControl& exec = inner.exec;
   exec.check();  // an already-expired deadline throws before any work
   Timer timer;
   ++stats_.fast_calls;
@@ -146,7 +144,6 @@ FastResult FastContext::solve(std::span<const double> w,
   // there is nothing to degrade to.
   const std::span<const double> coarse_w =
       levels_.empty() ? w : std::span<const double>(levels_.back().weights);
-  const DecomposeOptions inner = coarse_options(exec);
   Coloring chi = coarse_ctx_->decompose(coarse_w, inner).coloring;
 
   // Uncoarsen with per-level refinement (loose balance slack on interior
@@ -193,7 +190,7 @@ FastResult FastContext::solve(std::span<const double> w,
     }
     out.degraded = true;
     ++stats_.degraded_calls;
-    diag_report(options_.inner.diagnostics, DiagEvent::DegradedResult,
+    diag_report(inner.diagnostics, DiagEvent::DegradedResult,
                 "fast-mode deadline expired after the coarse level; "
                 "returning the projected best-effort coloring with a "
                 "certificate instead of throwing");
@@ -209,52 +206,8 @@ FastResult FastContext::solve(std::span<const double> w,
   return out;
 }
 
-void FastContext::set_weights(std::span<const double> w) {
-  ExclusiveUse::Claim claim = claim_use();
-  chain_.set_weights(w);
-}
-
-std::size_t FastContext::update_weights(std::span<const WeightDelta> deltas) {
-  ExclusiveUse::Claim claim = claim_use();
-  return chain_.update_weights(deltas);
-}
-
-FastResult FastContext::repartition(std::span<const WeightDelta> deltas) {
-  ExclusiveUse::Claim claim = claim_use();
-  chain_.update_weights(deltas);
-  ++stats_.repartition_calls;
-  FastResult out;
-  // The prior is already at full resolution, so the seeded attempt runs
-  // directly on the host graph — no coarsening, projection, or closing
-  // pass involved.  The hierarchy stays cached for escalations.
-  if (auto inc = chain_.try_incremental(*g_, options_.inner, ws_)) {
-    out.coloring = std::move(inc->coloring);
-    out.balance = inc->balance;
-    out.max_boundary = inc->max_boundary;
-    out.avg_boundary = inc->avg_boundary;
-    out.levels = static_cast<int>(levels_.size());
-    out.total_seconds = inc->total_seconds;
-    out.migration_cost = inc->migration_cost;
-    out.incremental = true;
-    ++stats_.incremental_served;
-  } else {
-    out = solve(chain_.weights(), options_.inner.exec);
-    // A full solve escalated exactly when a prior was cached.
-    out.migration_cost = chain_.migration_from_prior(out.coloring);
-    out.escalated = out.migration_cost >= 0;
-    if (out.escalated) ++stats_.escalations;
-  }
-  // Adopt only verified-quality solutions as the chain's new prior: a
-  // degraded (deadline-projected) coloring would seed the next call from
-  // a solution without the strict guarantee.
-  if (!out.degraded)
-    chain_.adopt(out.coloring, out.max_boundary, out.incremental);
-  return out;
-}
-
 std::size_t FastContext::memory_estimate_bytes() const {
-  std::size_t total =
-      sizeof(*this) + own_ws_.memory_bytes() + chain_.memory_bytes();
+  std::size_t total = sizeof(*this) + own_ws_.memory_bytes();
   for (const Level& level : levels_) {
     total += level.graph.memory_bytes() +
              level.weights.capacity() * sizeof(double) +

@@ -56,11 +56,6 @@ struct FastResult {
   bool degraded = false;
   /// verify_decomposition certificate; populated only when degraded.
   VerifyReport certificate;
-  /// Vertices that changed class vs the cached prior (-1 when the call had
-  /// no prior to migrate from).  See DecomposeResult::migration_cost.
-  long migration_cost = -1;
-  bool incremental = false;  ///< served by the seeded finest-level path
-  bool escalated = false;    ///< prior cached but certificate forced full solve
 };
 
 /// Instrumentation counters of a FastContext; the warm-path regression
@@ -73,9 +68,6 @@ struct FastContextStats {
   int pool_construct_failures = 0;  ///< pool builds that threw; degraded to
                                     ///< serial (see OwnedPool)
   long degraded_calls = 0;    ///< decompose calls that returned degraded
-  long repartition_calls = 0;   ///< repartition() calls served
-  long incremental_served = 0;  ///< of those, served by the seeded path
-  long escalations = 0;         ///< of those, escalated to a full solve
 };
 
 /// Reusable fast-multilevel state bound to one graph.
@@ -109,36 +101,20 @@ class FastContext {
   FastResult decompose(std::span<const double> w);
 
   /// Same with per-call options, which the context binds except their
-  /// inner.exec: that deadline and token apply to this call only, and
-  /// calls without options run with the constructor's (the rule of
-  /// DecomposeContext).  The hierarchy, splitters, and pool are rebuilt
-  /// only if `options` actually invalidates them (coarsening parameters or
-  /// seed -> hierarchy; splitter kind -> splitters; thread count -> pool),
-  /// so sweeping k, weights, or tolerances stays warm.
+  /// inner.exec and inner.diagnostics: that deadline, token and sink apply
+  /// to this call only, and calls without options run with the
+  /// constructor's (the rule of DecomposeContext).  The hierarchy,
+  /// splitters, and pool are rebuilt only if `options` actually
+  /// invalidates them (coarsening parameters or seed -> hierarchy;
+  /// splitter kind -> splitters; thread count -> pool), so sweeping k,
+  /// weights, or tolerances stays warm.
   /// \throws std::invalid_argument when inner.num_threads is outside
   ///         [1, kMaxThreads], before any pool is built
   FastResult decompose(std::span<const double> w, const FastOptions& options);
 
-  /// Repartition chain: bind base weights, drift them with absolute
-  /// deltas, and solve seeded from the cached prior.  The chain itself is
-  /// the RepartitionChain DecomposeContext holds too, so validation,
-  /// atomicity and the faulted-retry contract are the same code (see
-  /// core/context.hpp).  The chain's seeded attempt serves at the
-  /// *finest* level (the prior is full-resolution; no projection needed),
-  /// so the cached hierarchy is only consulted when the escalation
-  /// certificate forces a full multilevel solve.  A degraded
-  /// (deadline-projected) result is
-  /// returned but never adopted as the prior, and the dirty set survives
-  /// it: the next call resumes from the last verified prior and serves
-  /// what the unfaulted call would have.
-  void set_weights(std::span<const double> w);
-  bool has_weights() const { return chain_.has_weights(); }
-  std::span<const double> weights() const { return chain_.weights(); }
-  std::size_t update_weights(std::span<const WeightDelta> deltas);
-  FastResult repartition(std::span<const WeightDelta> deltas = {});
-
   const Graph& graph() const { return *g_; }
-  /// The bound options: the last call's, with the constructor's exec.
+  /// The bound options: the last call's, with the constructor's exec and
+  /// diagnostics.
   const FastOptions& options() const { return options_; }
   /// Warm context serving the coarsest level (bound to `graph()` itself
   /// while no coarsening applies); its stats expose the coarse-level
@@ -173,18 +149,16 @@ class FastContext {
     std::vector<Vertex> parent;   ///< mapping from the next finer level
   };
 
-  /// Bind `options` (keeping the constructor's exec) and make
-  /// pool/splitters/hierarchy match them, rebuilding only what an actual
-  /// change invalidates.
+  /// Bind `options` (keeping the constructor's exec and diagnostics) and
+  /// make pool/splitters/hierarchy match them, rebuilding only what an
+  /// actual change invalidates.
   void reconcile(const FastOptions& options);
-  /// The multilevel solve under the bound options and the call's `exec`.
-  FastResult solve(std::span<const double> w, const ExecControl& exec);
   /// Build the hierarchy (first call / after invalidation) or refresh the
   /// per-level weight sums for `w`.
   void ensure_levels(std::span<const double> w);
-  /// Coarse-level pipeline options: the bound inner options with `exec`,
-  /// refinement forced on and the pool supplied externally.
-  DecomposeOptions coarse_options(const ExecControl& exec) const;
+  /// Coarse-level pipeline options: `inner` with refinement forced on and
+  /// the pool supplied externally.
+  static DecomposeOptions coarse_options(const DecomposeOptions& inner);
   /// The finest-level splitter, stamped with `inner`.
   ISplitter& fine_splitter(const DecomposeOptions& inner);
 
@@ -202,7 +176,6 @@ class FastContext {
   std::unique_ptr<DecomposeContext> coarse_ctx_;
   std::unique_ptr<ISplitter> fine_splitter_;  ///< closing binpack2 pass
   FastContextStats stats_;
-  RepartitionChain chain_;
 };
 
 /// One-shot convenience wrapper: routes through a transient FastContext

@@ -143,12 +143,11 @@ class ISplitter {
   /// SweepMode in sweep_eval.hpp).  Runtime state like the fork depth —
   /// stored here, propagated to existing and future lanes, stamped per
   /// call by stamp_splitter — so every sweep consumer (prefix candidates,
-  /// geometric sweeps, the grid splitter's trivial level, composite
-  /// children) honors one setting without options plumbing.  Stamping a
-  /// non-default mode onto a splitter whose supports_sweep_mode rejects it
-  /// reports a one-time SweepModeUnsupported diagnostic instead of
-  /// silently evaluating with the seed rule (the historical window-rule
-  /// drop on geometric paths).
+  /// the grid splitter's trivial level, composite children) honors one
+  /// setting without options plumbing.  Stamping a non-default mode onto
+  /// a splitter whose supports_sweep_mode rejects it reports a one-time
+  /// SweepModeUnsupported diagnostic instead of silently evaluating with
+  /// the seed rule.
   void set_sweep_mode(SweepMode mode);
   SweepMode sweep_mode() const { return sweep_mode_; }
 

@@ -7,8 +7,8 @@
 #   3  deadline exceeded or cancelled (--timeout-ms)
 #
 # With a second argument it also pins trace_replay's strict argument
-# parsing (malformed numeric flags exit 2 instead of silently running a
-# different benchmark).
+# parsing (malformed numeric flags and over-cap thread counts exit 2
+# instead of silently running a different benchmark or aborting).
 #
 # Usage: cli_smoke.sh <path-to-mmd_partition> [path-to-trace_replay]
 set -u
@@ -165,7 +165,7 @@ printf '0:1.5 nonsense\n' > "$tmp/bad.deltas"
 check "malformed deltas file" 2 $?
 [ -e "$tmp/rep2.part" ] && { echo "FAIL: malformed-deltas run wrote output" >&2; fails=$((fails + 1)); }
 
-# 13. --fast has its own chain (FastContext); combining it with the
+# 13. The chain lives on DecomposeContext only; combining --fast with the
 #     --repartition demo is bad usage -> exit 2.
 "$bin" -k 3 --fast --quiet --repartition "$deltas" "$good" 2> /dev/null
 check "--fast --repartition is bad usage" 2 $?
@@ -283,6 +283,15 @@ expect_sm "negative seed rejected" 9 '"status":"bad_request"'
 expect_sm "huge timeout means no deadline" 10 '"status":"ok"'
 expect_sm "integral k 3.0 accepted" 11 '"status":"ok"'
 expect_sm "threads above the cap rejected" 12 '"status":"bad_request"'
+# The in-band error names its source relative to the checkout, so two
+# checkouts of one commit answer with the same bytes.
+expect_sm "error names src/core/context.cpp" 12 'at src/core/context.cpp:'
+checkout="$(cd "$(dirname "$0")/.." && pwd)"
+case "$(sm_line 12)" in
+  *"$checkout"*) echo "FAIL: serve error names the checkout path: $(sm_line 12)" >&2
+                 fails=$((fails + 1)) ;;
+  *) echo "ok: serve error does not name the checkout path" ;;
+esac
 
 # 17b. Numeric flags are parsed strictly: trailing garbage is bad usage,
 #      never a silently adopted numeric prefix; a timeout past the clock's
@@ -293,10 +302,14 @@ for args in "-k 3x" "-k 3 --threads 2x" "-k 3 -p 2.5abc" "-k 3 --fork-depth 1x" 
   "$bin" $args --quiet "$good" 2> /dev/null
   check "strict flag: $args" 2 $?
 done
-for args in "--workers 2x" "--queue 3x" "--budget-kb 1x"; do
+"$bin" --serve --budget-kb 1x < /dev/null > /dev/null 2>&1
+check "strict serve flag: --budget-kb 1x" 2 $?
+# --serve answers one line at a time, so it takes no --workers or --queue:
+# both are bad usage.
+for args in "--workers 2" "--queue 8"; do
   # shellcheck disable=SC2086
   "$bin" --serve $args < /dev/null > /dev/null 2>&1
-  check "strict serve flag: $args" 2 $?
+  check "removed serve flag: $args" 2 $?
 done
 "$bin" -k 3 --quiet --timeout-ms 9000000000000000 "$good"
 check "--timeout-ms past the clock's range" 0 $?
@@ -304,8 +317,6 @@ check "--timeout-ms past the clock's range" 0 $?
 # thread starts.
 "$bin" -k 3 --threads 100000 --quiet "$good" 2> /dev/null
 check "--threads above the cap" 2 $?
-"$bin" --serve --workers 100000 < /dev/null > /dev/null 2>&1
-check "--workers above the cap" 2 $?
 
 # 18. trace_replay strict argument parsing: malformed numeric flags are
 #     bad usage (exit 2) and never silently run with a default value —
@@ -322,6 +333,12 @@ if [ -n "$replay" ]; then
   check "trace_replay --graphs 0" 2 $?
   "$replay" "$tmp/replay.json" --seed banana 2> /dev/null
   check "trace_replay --seed banana" 2 $?
+  # Thread counts above the cap of 256 are bad usage, refused before any
+  # client thread or worker starts.
+  "$replay" "$tmp/replay.json" --workers 300 2> /dev/null
+  check "trace_replay --workers above the cap" 2 $?
+  "$replay" "$tmp/replay.json" --clients 257 2> /dev/null
+  check "trace_replay --clients above the cap" 2 $?
   [ -e "$tmp/replay.json" ] && {
     echo "FAIL: malformed trace_replay args wrote output" >&2
     fails=$((fails + 1))

@@ -4,7 +4,7 @@
 #include "baselines/kst.hpp"
 #include "baselines/multilevel.hpp"
 #include "baselines/random_part.hpp"
-#include "baselines/recursive_bisection.hpp"
+#include "core/bisection.hpp"
 #include "core/decompose.hpp"
 #include "gen/grid.hpp"
 #include "separators/prefix_splitter.hpp"
@@ -58,7 +58,7 @@ TEST(RecursiveBisection, WeightsNearProportional) {
   const auto w = testing::weights_for(g, WeightModel::Uniform, 73);
   PrefixSplitter splitter;
   for (int k : {2, 3, 5, 8}) {
-    const Coloring chi = recursive_bisection(g, w, k, splitter);
+    const Coloring chi = recursive_bisection_coloring(g, w, k, splitter);
     expect_total_coloring(g, chi);
     const double avg = norm1(w) / k;
     for (double x : class_measure(w, chi))
@@ -70,7 +70,7 @@ TEST(RecursiveBisection, TotalCutComparableToDecompose) {
   const Graph g = make_grid_cube(2, 20);
   const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
   PrefixSplitter splitter;
-  const Coloring chi = recursive_bisection(g, w, 8, splitter);
+  const Coloring chi = recursive_bisection_coloring(g, w, 8, splitter);
   DecomposeOptions opt;
   opt.k = 8;
   const DecomposeResult ours = decompose(g, w, opt);

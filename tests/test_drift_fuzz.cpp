@@ -11,10 +11,7 @@
 // and leave the chain retryable — deltas carry absolute weights and the
 // dirty set is cleared only on success, so re-sending the same batch on
 // the same warm context must return the bit-identical result of an
-// unfaulted first try.  FastContext holds the same chain around its own
-// solve step and is held to the same contract, plus its own: a deadline
-// after the coarse level degrades the step, and the degraded answer is
-// never adopted.
+// unfaulted first try.
 //
 // This test binary overrides operator new to consult the fault plan; the
 // library itself never does (see util/fault.hpp).
@@ -27,7 +24,6 @@
 
 #include "core/context.hpp"
 #include "core/decompose.hpp"
-#include "core/fast.hpp"
 #include "core/verify.hpp"
 #include "service/partition_service.hpp"
 #include "test_helpers.hpp"
@@ -170,23 +166,6 @@ std::vector<StepResult> replay(const DriftInstance& inst,
                  base.migration_cost});
   for (const auto& batch : inst.trajectory) {
     DecomposeResult r = ctx.repartition(batch);
-    out.push_back({r.coloring, r.incremental, r.escalated, r.migration_cost});
-  }
-  return out;
-}
-
-/// replay() through a FastContext chain: its seeded path at the finest
-/// level, its multilevel solve on escalation.
-std::vector<StepResult> replay_fast(const DriftInstance& inst,
-                                    const FastOptions& opt) {
-  FastContext ctx(inst.graph, opt);
-  ctx.set_weights(inst.weights);
-  std::vector<StepResult> out;
-  FastResult base = ctx.repartition();
-  out.push_back({base.coloring, base.incremental, base.escalated,
-                 base.migration_cost});
-  for (const auto& batch : inst.trajectory) {
-    FastResult r = ctx.repartition(batch);
     out.push_back({r.coloring, r.incremental, r.escalated, r.migration_cost});
   }
   return out;
@@ -455,98 +434,6 @@ TEST_P(DriftFuzz, ServiceRepartitionSurvivesFaultsAndRetries) {
       }
     }
   }
-}
-
-TEST_P(DriftFuzz, FastChainFaultsFailTypedAndRetryBitIdentical) {
-  const auto seed = static_cast<std::uint64_t>(GetParam()) * 69313ull + 11;
-  const DriftInstance inst = random_drift_instance(seed);
-  SCOPED_TRACE("seed " + std::to_string(seed) + " n=" +
-               std::to_string(inst.graph.num_vertices()) + " k=" +
-               std::to_string(inst.k));
-
-  FastOptions opt;
-  opt.inner.k = inst.k;
-  opt.coarse_target = 16;  // coarsen all but the smallest instances
-  const std::vector<StepResult> expected = replay_fast(inst, opt);
-
-  const std::size_t fstep = inst.trajectory.size() / 2;
-  const auto& batch = inst.trajectory[fstep];
-  auto make_chain_at_fstep = [&](const FastOptions& o) {
-    auto ctx = std::make_unique<FastContext>(inst.graph, o);
-    ctx->set_weights(inst.weights);
-    (void)ctx->repartition();
-    for (std::size_t s = 0; s < fstep; ++s)
-      (void)ctx->repartition(inst.trajectory[s]);
-    return ctx;
-  };
-  auto probe_sites = [&](const FastOptions& o, Plan plan) {
-    auto probe = make_chain_at_fstep(o);
-    arm(plan, kCountOnly);
-    (void)probe->repartition(batch);
-    const long sites = plan == Plan::Alloc ? fault::allocs_seen()
-                                           : fault::checkpoints_seen();
-    fault::disarm();
-    return sites;
-  };
-
-  // Alloc and cancel faults anywhere in the step: each fails with its own
-  // typed error, and re-sending the batch serves the unfaulted step.
-  for (const Plan plan : {Plan::Alloc, Plan::Cancel}) {
-    for (const long nth : sample_indices(probe_sites(opt, plan))) {
-      auto ctx = make_chain_at_fstep(opt);
-      arm(plan, nth);
-      bool faulted = false;
-      try {
-        const FastResult res = ctx->repartition(batch);
-        fault::disarm();
-        ASSERT_FALSE(res.degraded) << plan_name(plan) << " nth=" << nth;
-        ASSERT_EQ(res.coloring.color, expected[fstep + 1].coloring.color)
-            << plan_name(plan) << " nth=" << nth << " (unfired)";
-      } catch (const std::bad_alloc&) {
-        faulted = true;
-        EXPECT_EQ(plan, Plan::Alloc) << "nth=" << nth;
-      } catch (const Cancelled&) {
-        faulted = true;
-        EXPECT_EQ(plan, Plan::Cancel) << "nth=" << nth;
-      }
-      fault::disarm();
-      if (faulted) {
-        const FastResult retry = ctx->repartition(batch);
-        ASSERT_EQ(retry.coloring.color, expected[fstep + 1].coloring.color)
-            << plan_name(plan) << " nth=" << nth << ": retry diverged";
-        ASSERT_EQ(retry.migration_cost, expected[fstep + 1].migration_cost)
-            << plan_name(plan) << " nth=" << nth;
-        for (std::size_t s = fstep + 1; s < inst.trajectory.size(); ++s) {
-          const FastResult rest = ctx->repartition(inst.trajectory[s]);
-          ASSERT_EQ(rest.coloring.color, expected[s + 1].coloring.color)
-              << plan_name(plan) << " nth=" << nth << " tail step " << s;
-        }
-      }
-    }
-  }
-
-  // A deadline at the last checkpoint of an escalating step lands in the
-  // closing pass, after the coarse level: the step returns degraded.  The
-  // degraded answer is not adopted and the dirty set survives it, so the
-  // next call without deltas serves the unfaulted step.
-  FastOptions escalate = opt;
-  escalate.inner.incremental.max_dirty_fraction = 0.0;  // any drift escalates
-  const std::vector<StepResult> esc_expected = replay_fast(inst, escalate);
-  ASSERT_TRUE(esc_expected[fstep + 1].escalated);
-  const long checkpoints = probe_sites(escalate, Plan::Deadline);
-  ASSERT_GT(checkpoints, 0);
-  auto ctx = make_chain_at_fstep(escalate);
-  arm(Plan::Deadline, checkpoints - 1);
-  const FastResult degraded = ctx->repartition(batch);
-  fault::disarm();
-  EXPECT_TRUE(degraded.degraded);
-  EXPECT_TRUE(degraded.escalated);
-  EXPECT_EQ(ctx->stats().degraded_calls, 1);
-  const FastResult next = ctx->repartition();
-  EXPECT_FALSE(next.degraded);
-  EXPECT_TRUE(next.escalated) << "the dirty set did not survive the step";
-  ASSERT_EQ(next.coloring.color, esc_expected[fstep + 1].coloring.color);
-  EXPECT_EQ(next.migration_cost, esc_expected[fstep + 1].migration_cost);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DriftFuzz, ::testing::Range(0, 5));

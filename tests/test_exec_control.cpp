@@ -211,6 +211,30 @@ TEST_F(ExecControlDecompose, PerCallExecDoesNotOutliveItsCall) {
             twin.decompose_multi(f.w, refs).coloring.color);
 }
 
+TEST_F(ExecControlDecompose, PerCallSinkDoesNotOutliveItsCall) {
+  // A call's diagnostics sink is per-call state like its exec: the context
+  // keeps the constructor's, and the calls without options after it stamp
+  // that one onto the splitter.
+  const Fixture f = small_grid_fixture();
+  DecomposeDiagnostics bound, call;
+  DecomposeOptions opt = f.opt;
+  opt.diagnostics = &bound;
+  DecomposeContext ctx(f.g, opt);
+  ctx.set_weights(f.w);
+  DecomposeOptions carry = f.opt;
+  carry.diagnostics = &call;
+
+  ctx.decompose(f.w, carry);
+  EXPECT_EQ(ctx.options().diagnostics, &bound);
+  ctx.decompose(f.w);
+  EXPECT_EQ(ctx.splitter().diagnostics(), &bound);
+
+  ctx.repartition({}, carry);
+  EXPECT_EQ(ctx.options().diagnostics, &bound);
+  ctx.repartition();
+  EXPECT_EQ(ctx.splitter().diagnostics(), &bound);
+}
+
 TEST_F(ExecControlDecompose, CancelFiresExactlyAtTheArmedCheckpoint) {
   // The cancellation-latency bound, measured: for any checkpoint index N,
   // injecting a cancel at N terminates the call at exactly checkpoint N —
@@ -398,29 +422,40 @@ TEST_F(ExecControlFast, CancellationNeverDegradesItAlwaysThrows) {
 }
 
 TEST_F(ExecControlFast, PerCallExecDoesNotOutliveItsCall) {
-  // FastContext follows DecomposeContext's rule; its repartition() takes
-  // no options, so a token could only reach it through a decompose call.
+  // FastContext follows DecomposeContext's rule.
   const Graph g = make_grid_cube(2, 12);
   const auto w = testing::weights_for(g, WeightModel::Uniform, 29);
   FastOptions opt;
   opt.inner.k = 4;
   opt.coarse_target = 40;
-  const std::vector<WeightDelta> drift{{5, 2.0}};
   FastContext ctx(g, opt);
   FastContext twin(g, opt);
-  ctx.set_weights(w);
-  twin.set_weights(w);
-  const auto carry = [&](const DecomposeOptions& inner) {
+  with_spent_token(opt.inner, [&](const DecomposeOptions& inner) {
     FastOptions o = opt;
     o.inner = inner;
     ctx.decompose(w, o);
-  };
-
-  with_spent_token(opt.inner, carry);
+  });
   EXPECT_EQ(ctx.decompose(w).coloring.color, twin.decompose(w).coloring.color);
-  with_spent_token(opt.inner, carry);
-  EXPECT_EQ(ctx.repartition(drift).coloring.color,
-            twin.repartition(drift).coloring.color);
+}
+
+TEST_F(ExecControlFast, PerCallSinkDoesNotOutliveItsCall) {
+  // The sink follows the exec rule too, down to the coarse-level context.
+  const Graph g = make_grid_cube(2, 12);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 29);
+  DecomposeDiagnostics bound, call;
+  FastOptions opt;
+  opt.inner.k = 4;
+  opt.coarse_target = 40;
+  opt.inner.diagnostics = &bound;
+  FastContext ctx(g, opt);
+  FastOptions carry = opt;
+  carry.inner.diagnostics = &call;
+
+  ctx.decompose(w, carry);
+  EXPECT_EQ(ctx.options().inner.diagnostics, &bound);
+  EXPECT_EQ(ctx.coarse_context().options().diagnostics, &bound);
+  ctx.decompose(w);
+  EXPECT_EQ(ctx.coarse_context().splitter().diagnostics(), &bound);
 }
 
 TEST_F(ExecControlFast, ExpiredWallClockDeadlineAtEntryThrows) {

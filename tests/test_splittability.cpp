@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "gen/basic.hpp"
+#include "gen/geometric.hpp"
 #include "gen/grid.hpp"
 #include "separators/grid_split.hpp"
 #include "separators/prefix_splitter.hpp"
+#include "separators/separator.hpp"
 #include "separators/splittability.hpp"
 #include "test_helpers.hpp"
 
@@ -82,6 +84,36 @@ TEST(Splittability, DeterministicPerSeed) {
   const auto b = estimate_splittability(g, 2.0, s2, opt);
   EXPECT_DOUBLE_EQ(a.max_ratio, b.max_ratio);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
+}
+
+TEST(Splittability, KnnIsBoundedWithPrefixSweeps) {
+  // Remark 36: kNN graphs have beta_{d/(d-1)} = O(k^{1/d}); the estimator
+  // with the prefix splitter's coordinate sweeps should land in a small
+  // constant range.
+  const Graph g = make_knn(500, 5);
+  PrefixSplitter splitter;
+  SplittabilityOptions opt;
+  opt.trials = 16;
+  const auto est = estimate_splittability(g, 2.0, splitter, opt);
+  EXPECT_GT(est.samples, 4);
+  EXPECT_LT(est.max_ratio, 6.0);
+}
+
+TEST(Separability, SandwichedAgainstSplittability) {
+  // Lemma 37: beta_p and sigma_p agree up to local-fluctuation and degree
+  // factors for well-behaved instances; check both estimators land within
+  // a crude constant envelope of each other on a unit grid.
+  const Graph g = make_grid_cube(2, 14);
+  PrefixSplitter s1, s2;
+  SplittabilityOptions opt;
+  opt.trials = 24;
+  const auto sigma = estimate_splittability(g, 2.0, s1, opt);
+  const auto beta = estimate_separability(g, 2.0, s2, opt);
+  ASSERT_GT(sigma.samples, 0);
+  ASSERT_GT(beta.samples, 0);
+  const double phi_l = local_fluctuation(g);  // = max degree = 4
+  EXPECT_LE(beta.max_ratio, 4.0 * phi_l * sigma.max_ratio + 1.0);
+  EXPECT_LE(sigma.max_ratio, 4.0 * phi_l * 2.0 * beta.max_ratio + 1.0);
 }
 
 }  // namespace

@@ -41,20 +41,20 @@
 //
 // Server mode (docs/API.md, "The service layer"):
 //
-//   mmd_partition --serve [--budget-kb <kb>] [--queue <n>] [--workers <n>]
-//
-// (--workers 1..256, like --threads and a request's "threads" field.)
+//   mmd_partition --serve [--budget-kb <kb>]
 //
 // reads one JSON object per line from stdin and answers one JSON object
 // per line on stdout, fronting a PartitionService (warm contexts, LRU
-// byte budget, request batching).  Ops: load, decompose, repartition,
-// stats, evict, shutdown.  The repartition op carries weight deltas in a
-// "deltas" string field ("v:w v:w ...", absolute new weights) and answers
-// with migration_cost/incremental/escalated alongside the usual quality
-// fields.  Request errors — malformed JSON, non-integral or out-of-range
-// integer fields, removed fields included — are answered in-band
-// ({"ok":false,...}) and never kill the session; the process exits 0 on
-// stdin EOF or a shutdown op (2 only for bad --serve usage).
+// byte budget).  Lines are answered one at a time, in order, so the
+// service's admission queue and worker pool keep their defaults.  Ops:
+// load, decompose, repartition, stats, evict, shutdown.  The repartition
+// op carries weight deltas in a "deltas" string field ("v:w v:w ...",
+// absolute new weights) and answers with migration_cost/incremental/
+// escalated alongside the usual quality fields.  Request errors —
+// malformed JSON, non-integral or out-of-range integer fields, removed
+// fields included — are answered in-band ({"ok":false,...}) and never
+// kill the session; the process exits 0 on stdin EOF or a shutdown op (2
+// only for bad --serve usage).
 //
 // Every numeric flag is parsed strictly (io/strict_parse.hpp): trailing
 // garbage or overflow is bad usage (exit 2), never a silently adopted
@@ -73,7 +73,7 @@
 #include "service/partition_service.hpp"
 
 #include "baselines/greedy.hpp"
-#include "baselines/recursive_bisection.hpp"
+#include "core/bisection.hpp"
 #include "core/context.hpp"
 #include "core/decompose.hpp"
 #include "core/fast.hpp"
@@ -98,8 +98,7 @@ namespace {
                "       [--repartition <deltas-file>]\n"
                "       [--compare] [--quiet] [--verify] [--mem-stats] "
                "<input.graph>\n"
-               "       %s --serve [--budget-kb <kb>] [--queue <n>] "
-               "[--workers <n>]\n",
+               "       %s --serve [--budget-kb <kb>]\n",
                argv0, argv0);
   std::exit(2);
 }
@@ -366,15 +365,6 @@ int main(int argc, char** argv) {
         const long kb = numeric_arg<long>(argv[0], "--budget-kb", next());
         if (kb < 0) usage(argv[0]);
         so.context_budget_bytes = static_cast<std::size_t>(kb) << 10;
-      } else if (arg == "--queue") {
-        const int q = numeric_arg<int>(argv[0], "--queue", next());
-        if (q < 1) usage(argv[0]);
-        so.queue_capacity = static_cast<std::size_t>(q);
-      } else if (arg == "--workers") {
-        // Checked here: serve_main builds the service outside the error
-        // handling the one-shot mode has.
-        so.num_workers = numeric_arg<int>(argv[0], "--workers", next());
-        if (so.num_workers < 1 || so.num_workers > kMaxThreads) usage(argv[0]);
       } else {
         usage(argv[0]);
       }
@@ -453,8 +443,7 @@ int main(int argc, char** argv) {
     }
   }
   if (k < 1 || input.empty()) usage(argv[0]);
-  // The incremental chain lives on DecomposeContext; the fast path has its
-  // own (FastContext::repartition) but the demo exercises the full one.
+  // The incremental chain lives on DecomposeContext only.
   if (fast && !repartition_file.empty()) usage(argv[0]);
 
   try {
@@ -626,7 +615,7 @@ int main(int argc, char** argv) {
                        Table::num(grep.max_dev, 3),
                        grep.strictly_balanced ? "yes" : "NO", "-"});
         PrefixSplitter ps;
-        const Coloring rb = recursive_bisection(g, in.weights, k, ps);
+        const Coloring rb = recursive_bisection_coloring(g, in.weights, k, ps);
         const auto rrep = balance_report(in.weights, rb);
         table.add_row({"recursive bisection",
                        Table::num(max_boundary_cost(g, rb), 2),

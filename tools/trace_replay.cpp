@@ -437,8 +437,11 @@ int main(int argc, char** argv) {
     else if (!saw_out) { out_path = arg; saw_out = true; }
     else usage(argv[0]);
   }
-  if (num_requests < 1 || num_clients < 1 || num_graphs < 1 ||
-      num_workers < 1 || budget_kb < 0 || steps < 1)
+  // Thread counts share the library's cap: an over-cap count is bad
+  // usage here, before any client thread or service pool starts.
+  if (num_requests < 1 || num_clients < 1 || num_clients > kMaxThreads ||
+      num_graphs < 1 || num_workers < 1 || num_workers > kMaxThreads ||
+      budget_kb < 0 || steps < 1)
     usage(argv[0]);
   if (zipf_alpha < 0.0 || zipf_alpha > 64.0) {
     // Negative alpha inverts the popularity ranking (and overflows pow for
