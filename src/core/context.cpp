@@ -137,7 +137,8 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
   options_.exec = exec;
   options_.diagnostics = diagnostics;
   // Per-call state invalidates nothing, so it is simply re-stamped; each
-  // call stamps its own exec and sink on entry.
+  // call stamps its own exec and sink on entry, and Restamp puts the bound
+  // ones back when it ends.
   stamp_splitter(*splitter_, options_);
 }
 
@@ -149,6 +150,7 @@ DecomposeResult DecomposeContext::decompose(std::span<const double> w,
                                             const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
+  const Restamp restamp{*this};
   ++stats_.decompose_calls;
   return mmd::decompose(*g_, w, options, *splitter_, ws_);
 }
@@ -172,6 +174,7 @@ DecomposeResult DecomposeContext::repartition(
     std::span<const WeightDelta> deltas, const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
+  const Restamp restamp{*this};
   chain_.update_weights(deltas);
   ++stats_.repartition_calls;
   std::optional<DecomposeResult> r = chain_.try_incremental(*g_, options, ws_);
@@ -198,6 +201,7 @@ MultiDecomposeResult DecomposeContext::decompose_multi(
     const DecomposeOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
+  const Restamp restamp{*this};
   ++stats_.decompose_calls;
   return mmd::decompose_multi(*g_, psi, extra_measures, options, *splitter_,
                               ws_);

@@ -19,11 +19,11 @@
 // Thread safety: a context is an exclusive resource — one decompose call
 // at a time (the pool parallelizes *inside* a call, not across calls).
 // Use one context per thread for concurrent callers, or serialize access
-// the way PartitionService does (one admission batch per context at a
-// time).  Every public call enters the ExclusiveUse guard below, so a
-// violated contract reports ConcurrentContextEntry diagnostics (and
-// throws InvariantViolation in Debug builds) instead of silently
-// corrupting the pooled workspace state.
+// the way PartitionService does (rounds never overlap, and a round runs
+// each graph's requests back to back in one group).  Every public call
+// enters the ExclusiveUse guard below, so a violated contract reports
+// ConcurrentContextEntry diagnostics (and throws InvariantViolation in
+// Debug builds) instead of silently corrupting the pooled workspace state.
 #pragma once
 
 #include <atomic>
@@ -106,14 +106,15 @@ inline constexpr int kMaxThreads = 256;
 /// in [1, kMaxThreads].
 void require_thread_count(int count, const char* name);
 
-/// The pool policy every pool owner shares (DecomposeContext, FastContext
-/// and PartitionService): an owned ThreadPool sized by a requested thread
-/// count, rebuilt only when that count changes.  A construction that
-/// throws (thread or memory exhaustion) leaves no pool, which degrades the
-/// owner to the serial path: results are identical by the splitter
-/// contract, only slower.  The failure is counted, reported once as
-/// PoolConstructFailed, and not retried until the requested count
-/// changes, because the failed count is remembered like a built one.
+/// The pool policy both pool owners share (DecomposeContext, which also
+/// owns FastContext's pool, and PartitionService): an owned ThreadPool
+/// sized by a requested thread count, rebuilt only when that count
+/// changes.  A construction that throws (thread or memory exhaustion)
+/// leaves no pool, which degrades the owner to the serial path: results
+/// are identical by the splitter contract, only slower.  The failure is
+/// counted, reported once as PoolConstructFailed, and not retried until
+/// the requested count changes, because the failed count is remembered
+/// like a built one.
 class OwnedPool {
  public:
   /// True when `num_threads` differs from the count of the last rebuild
@@ -224,7 +225,8 @@ struct DecomposeContextStats {
 /// Per-call options become the bound options, except their `exec` and
 /// `diagnostics`: a call that passes options runs with that deadline,
 /// token and sink for that call only, and a call without options runs
-/// with the constructor's.
+/// with the constructor's.  When a call returns or throws, the splitter
+/// carries the constructor's again.
 class DecomposeContext {
  public:
   /// Bind to `g` (borrowed; must outlive the context) and build the
@@ -234,8 +236,8 @@ class DecomposeContext {
   /// `external_pool` (optional, borrowed, must outlive the context)
   /// substitutes the context's own pool: the context then never builds
   /// one regardless of options.num_threads and wires the external pool
-  /// into its splitter instead — FastContext uses this to share one pool
-  /// across the coarse-level context and the finest-level splitter.
+  /// into its splitter instead — FastContext's coarse context borrows the
+  /// fine context's pool this way.
   /// \throws std::invalid_argument when options.num_threads is outside
   ///         [1, kMaxThreads] or options.fork_depth is negative, before
   ///         any pool is built
@@ -284,8 +286,8 @@ class DecomposeContext {
   /// the previous repartition's solution when one is cached: the first
   /// call is a full solve; later calls run the chain's seeded attempt and
   /// escalate to a full solve when the certificate fires (see
-  /// IncrementalOptions).  On success the result is adopted as the new
-  /// prior and the pending dirty set is cleared; on a thrown fault
+  /// try_incremental_repartition).  On success the result is adopted as
+  /// the new prior and the pending dirty set is cleared; on a thrown fault
   /// (deadline/cancel/alloc, or an invalid k or p) nothing is adopted,
   /// the dirty set keeps accumulating, and an identical retry returns a
   /// bit-identical result.
@@ -327,10 +329,9 @@ class DecomposeContext {
   /// workspace/pool.  PartitionService charges cache entries with this.
   std::size_t memory_estimate_bytes() const;
 
-  /// Claim exclusive use for a multi-call sequence (the service holds one
-  /// per admission batch).  Claims nest on the owning thread; an entry
-  /// from another thread while any claim is live is the misuse
-  /// ExclusiveUse reports.  decompose()/decompose_multi() take a claim
+  /// Claim exclusive use for a multi-call sequence.  Claims nest on the
+  /// owning thread; an entry from another thread while any claim is live
+  /// is the misuse ExclusiveUse reports.  Every public call takes a claim
   /// internally, so single calls need none.
   ExclusiveUse::Claim claim_use() {
     return ExclusiveUse::Claim(use_, options_.diagnostics,
@@ -338,9 +339,20 @@ class DecomposeContext {
   }
 
  private:
+  // FastContext's fine context is a DecomposeContext: FastContext
+  // reconciles it up front and borrows its splitter for the closing pass.
+  friend class FastContext;
+
   /// Bind `options` (keeping the constructor's exec and diagnostics) and
   /// make the splitter/pool match them, rebuilding only on actual change.
   void reconcile(const DecomposeOptions& options);
+
+  /// Re-stamps the bound options onto the splitter when a call ends, also
+  /// when it throws: a call's exec and sink must not outlive the call.
+  struct Restamp {
+    DecomposeContext& ctx;
+    ~Restamp() { stamp_splitter(*ctx.splitter_, ctx.options_); }
+  };
 
   ExclusiveUse use_;
   const Graph* g_;

@@ -319,7 +319,7 @@ std::optional<DecomposeResult> try_incremental_repartition(
     if (in) rw.seed.push_back(v);
   }
   if (static_cast<double>(rw.seed.size()) >
-      options.incremental.max_dirty_fraction * static_cast<double>(n))
+      kMaxDirtyFraction * static_cast<double>(n))
     return std::nullopt;
 
   DecomposeResult out;
@@ -349,9 +349,7 @@ std::optional<DecomposeResult> try_incremental_repartition(
   const double baseline = prior.baseline_max_boundary > 0.0
                               ? prior.baseline_max_boundary
                               : prior.max_boundary;
-  if (baseline > 0.0 && out.max_boundary >
-                            options.incremental.max_boundary_growth * baseline +
-                                1e-9)
+  if (baseline > 0.0 && out.max_boundary > kMaxBoundaryGrowth * baseline + 1e-9)
     return std::nullopt;
 
   out.migration_cost = count_migration(pc, out.coloring);

@@ -79,18 +79,17 @@ struct PriorSolution {
 /// flags it DecomposeResult::escalated).  The prior must also still fit
 /// the Definition 1 window under the new weights, so a served incremental
 /// result is always strictly balanced.
-struct IncrementalOptions {
-  /// Escalate when the incremental max boundary exceeds this multiple of
-  /// PriorSolution::baseline_max_boundary.  Defensive envelope: boundary
-  /// cost is weight-independent and refinement is monotone, so along an
-  /// incremental chain this rarely fires — balance drift is the operative
-  /// trigger.
-  double max_boundary_growth = 1.5;
-  /// Escalate when the dirty region (vertices in delta-touched classes
-  /// plus their boundary) exceeds this fraction of the graph — past that
-  /// the seeded refinement approaches a full sweep anyway.
-  double max_dirty_fraction = 0.75;
-};
+///
+/// Escalate when the incremental max boundary exceeds this multiple of
+/// PriorSolution::baseline_max_boundary.  Defensive envelope: boundary
+/// cost is weight-independent and refinement is monotone, so along an
+/// incremental chain this rarely fires — balance drift is the operative
+/// trigger.
+inline constexpr double kMaxBoundaryGrowth = 1.5;
+/// Escalate when the dirty region (vertices in delta-touched classes plus
+/// their boundary) exceeds this fraction of the graph — past that the
+/// seeded refinement approaches a full sweep anyway.
+inline constexpr double kMaxDirtyFraction = 0.75;
 
 /// Tuning knobs of the Theorem 4 pipeline.  The defaults reproduce the
 /// paper's guarantees; everything else is practical engineering
@@ -162,10 +161,6 @@ struct DecomposeOptions {
   /// its calls without options, and its concurrent-entry reports, use
   /// the constructor's.
   DecomposeDiagnostics* diagnostics = nullptr;
-
-  /// Escalation thresholds of try_incremental_repartition (the seeded
-  /// step of DecomposeContext::repartition).
-  IncrementalOptions incremental;
 };
 
 /// Timing and quality snapshot taken after one pipeline phase.
@@ -295,8 +290,9 @@ std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
 /// options.diagnostics, options.fork_depth and options.sweep_mode onto
 /// `splitter` (propagated to its lanes and composite children), the sink
 /// before the mode so an unsupported-mode report reaches it.  decompose()
-/// and decompose_multi() call it on entry and the contexts on reconcile;
-/// the thread pool stays its owner's job (ISplitter::set_thread_pool).
+/// and decompose_multi() call it on entry, and the contexts on reconcile
+/// and again with their bound options when a call ends; the thread pool
+/// stays its owner's job (ISplitter::set_thread_pool).
 void stamp_splitter(ISplitter& splitter, const DecomposeOptions& options);
 
 /// Estimated heap footprint of a warm default splitter for `g`: the

@@ -7,9 +7,21 @@
 
 namespace mmd {
 
+namespace {
+
+/// The coarse context's options: it runs on the fine context's pool, so it
+/// asks for one thread and never builds a pool of its own — not even when
+/// the fine context has none (one thread, or a failed build).
+DecomposeOptions on_borrowed_pool(DecomposeOptions options) {
+  options.num_threads = 1;
+  return options;
+}
+
+}  // namespace
+
 FastContext::FastContext(const Graph& g, const FastOptions& options,
                          DecomposeWorkspace* external_ws)
-    : g_(&g), options_(options), ws_(external_ws ? external_ws : &own_ws_) {
+    : options_(options), fine_(g, options.inner, external_ws) {
   reconcile(options);
 }
 
@@ -17,48 +29,26 @@ FastContext::~FastContext() = default;
 
 void FastContext::reconcile(const FastOptions& options) {
   MMD_REQUIRE(options.inner.k >= 1, "k must be >= 1");
-  require_thread_count(options.inner.num_threads, "num_threads");
-  MMD_REQUIRE(options.inner.fork_depth >= 0, "fork_depth must be >= 0");
   // The hierarchy depends only on edge costs and the coarsening
-  // parameters, the pool only on the thread count, the finest-level
-  // splitter only on the splitter kind; everything else (k, tolerances,
-  // refinement knobs) is per-call state and invalidates nothing.
+  // parameters.  The coarse context borrows the coarsest graph and the
+  // fine context's pool, so it goes before either does; everything else
+  // (k, tolerances, splitter kind) the contexts reconcile themselves.
   const bool hierarchy_stale = options.seed != options_.seed ||
                                options.coarse_target != options_.coarse_target ||
                                options.max_levels != options_.max_levels;
-  const bool pool_stale = pool_.stale(options.inner.num_threads);
-  const bool fine_splitter_stale =
-      options.inner.splitter != options_.inner.splitter;
-  // Same rule as DecomposeContext::reconcile: a caller's exec and sink are
-  // per-call state, never cached.  `options` may alias options_.
-  const ExecControl exec = options_.inner.exec;
-  DecomposeDiagnostics* const diagnostics = options_.inner.diagnostics;
-  options_ = options;
-  options_.inner.exec = exec;
-  options_.inner.diagnostics = diagnostics;
-
-  if (hierarchy_stale) {
-    levels_built_ = false;
-    coarse_ctx_.reset();  // bound to the old coarsest graph
-  }
-  if (pool_stale) {
-    // The coarse context and the fine splitter hold the borrowed pool
-    // pointer; drop them before the pool so nothing dangles.
+  if (hierarchy_stale ||
+      options.inner.num_threads != options_.inner.num_threads)
     coarse_ctx_.reset();
-    fine_splitter_.reset();
-    pool_.rebuild(options.inner.num_threads, options.inner.diagnostics,
-                  stats_.pool_builds, stats_.pool_construct_failures);
-  }
-  if (fine_splitter_stale) fine_splitter_.reset();
-  // A surviving coarse context reconciles the remaining inner options
-  // itself on the next decompose call (warm for k/weights/tolerance
-  // sweeps); a dropped one is rebuilt in ensure_levels.
+  fine_.reconcile(options.inner);
+  if (hierarchy_stale) levels_built_ = false;
+  options_ = options;
+  options_.inner = fine_.options();
 }
 
 void FastContext::ensure_levels(std::span<const double> w) {
   if (!levels_built_) {
     levels_.clear();
-    const Graph* cur = g_;
+    const Graph* cur = &fine_.graph();
     std::span<const double> cur_w = w;
     std::uint64_t seed = options_.seed;
     while (cur->num_vertices() > options_.coarse_target &&
@@ -89,31 +79,17 @@ void FastContext::ensure_levels(std::span<const double> w) {
       cur_w = level.weights;
     }
   }
-  if (coarse_ctx_ == nullptr) {
-    const Graph& coarsest = levels_.empty() ? *g_ : levels_.back().graph;
+  if (!levels_.empty() && coarse_ctx_ == nullptr) {
     coarse_ctx_ = std::make_unique<DecomposeContext>(
-        coarsest, coarse_options(options_.inner), ws_, pool_.get());
+        levels_.back().graph, on_borrowed_pool(options_.inner),
+        &fine_.workspace(), fine_.thread_pool());
   }
 }
 
-DecomposeOptions FastContext::coarse_options(const DecomposeOptions& inner) {
-  DecomposeOptions out = inner;
-  out.use_refinement = true;
-  out.num_threads = 1;  // the shared pool is supplied externally
-  return out;
-}
-
-ISplitter& FastContext::fine_splitter(const DecomposeOptions& inner) {
-  // While nothing was coarsened the coarse context is bound to the finest
-  // graph already — reuse its splitter instead of building a twin.
-  if (levels_.empty()) return coarse_ctx_->splitter();
-  if (fine_splitter_ == nullptr) {
-    fine_splitter_ = make_default_splitter(*g_, options_.inner.splitter);
-    fine_splitter_->set_thread_pool(pool_.get());
-    ++stats_.fine_splitter_builds;
-  }
-  stamp_splitter(*fine_splitter_, inner);  // per-call state
-  return *fine_splitter_;
+DecomposeContext& FastContext::coarse_context() {
+  MMD_REQUIRE(levels_built_ && (levels_.empty() || coarse_ctx_ != nullptr),
+              "coarse_context() needs a prior decompose call");
+  return levels_.empty() ? fine_ : *coarse_ctx_;
 }
 
 FastResult FastContext::decompose(std::span<const double> w) {
@@ -124,10 +100,13 @@ FastResult FastContext::decompose(std::span<const double> w,
                                   const FastOptions& options) {
   ExclusiveUse::Claim claim = claim_use();
   reconcile(options);
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
+  const Graph& g = fine_.graph();
+  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
               "weight arity mismatch");
   // The call's own exec and sink; everything else is the bound options.
-  const DecomposeOptions inner = coarse_options(options.inner);
+  // The coarse-level pipeline always refines.
+  DecomposeOptions inner = options.inner;
+  inner.use_refinement = true;
   const ExecControl& exec = inner.exec;
   exec.check();  // an already-expired deadline throws before any work
   Timer timer;
@@ -136,15 +115,18 @@ FastResult FastContext::decompose(std::span<const double> w,
 
   FastResult out;
   out.levels = static_cast<int>(levels_.size());
-  DecomposeWorkspace& wsr = *ws_;
+  DecomposeWorkspace& wsr = fine_.workspace();
 
   // Full pipeline on the coarsest level.  Coarse nodes can be heavy, so
   // the strict window there is loose — re-established at the finest level.
   // A deadline/cancel here propagates: with no complete coarse solution
   // there is nothing to degrade to.
-  const std::span<const double> coarse_w =
-      levels_.empty() ? w : std::span<const double>(levels_.back().weights);
-  Coloring chi = coarse_ctx_->decompose(coarse_w, inner).coloring;
+  Coloring chi =
+      levels_.empty()
+          ? fine_.decompose(w, inner).coloring
+          : coarse_ctx_->decompose(levels_.back().weights,
+                                   on_borrowed_pool(inner))
+                .coloring;
 
   // Uncoarsen with per-level refinement (loose balance slack on interior
   // levels: coarse nodes are heavy, exactness comes at the end).  `lvl`
@@ -157,7 +139,7 @@ FastResult FastContext::decompose(std::span<const double> w,
       exec.check();  // level-edge checkpoint
       chi = project_coloring(chi, levels_[lvl - 1].parent);
       --lvl;
-      const Graph& level_graph = lvl == 0 ? *g_ : levels_[lvl - 1].graph;
+      const Graph& level_graph = lvl == 0 ? g : levels_[lvl - 1].graph;
       const std::span<const double> level_w =
           lvl == 0 ? w : std::span<const double>(levels_[lvl - 1].weights);
       MinmaxRefineOptions ro;
@@ -167,15 +149,18 @@ FastResult FastContext::decompose(std::span<const double> w,
       minmax_refine(level_graph, chi, level_w, ro, &wsr.refine);
     }
 
-    // Close the strict window at full resolution, through the persistent
-    // finest-level splitter (warm OrderingCache, shared pool).
+    // Close the strict window at full resolution, through the fine
+    // context's splitter (warm OrderingCache, shared pool), stamped with
+    // this call's options until the pass ends.
     if (options_.inner.k > 1) {
       exec.check();
-      chi = binpack2(*g_, chi, w, fine_splitter(inner), nullptr, &wsr);
+      const DecomposeContext::Restamp restamp{fine_};
+      stamp_splitter(fine_.splitter(), inner);
+      chi = binpack2(g, chi, w, fine_.splitter(), nullptr, &wsr);
       MinmaxRefineOptions ro;
       ro.max_passes = options_.refine_passes_per_level;
       ro.exec = exec;
-      minmax_refine(*g_, chi, w, ro, &wsr.refine);
+      minmax_refine(g, chi, w, ro, &wsr.refine);
     }
   } catch (const DeadlineExceeded&) {
     // Graceful degradation: the coarse level completed, so a best-effort
@@ -197,9 +182,9 @@ FastResult FastContext::decompose(std::span<const double> w,
   }
 
   out.coloring = std::move(chi);
-  if (out.degraded) out.certificate = verify_decomposition(*g_, w, out.coloring);
+  if (out.degraded) out.certificate = verify_decomposition(g, w, out.coloring);
   out.balance = balance_report(w, out.coloring);
-  const auto bc = class_boundary_costs(*g_, out.coloring);
+  const auto bc = class_boundary_costs(g, out.coloring);
   out.max_boundary = norm_inf(bc);
   out.avg_boundary = norm1(bc) / options_.inner.k;
   out.total_seconds = timer.seconds();
@@ -207,14 +192,16 @@ FastResult FastContext::decompose(std::span<const double> w,
 }
 
 std::size_t FastContext::memory_estimate_bytes() const {
-  std::size_t total = sizeof(*this) + own_ws_.memory_bytes();
+  // The fine context's estimate counts its own size, which sizeof(*this)
+  // holds already.
+  std::size_t total =
+      sizeof(*this) - sizeof(fine_) + fine_.memory_estimate_bytes();
   for (const Level& level : levels_) {
     total += level.graph.memory_bytes() +
              level.weights.capacity() * sizeof(double) +
              level.parent.capacity() * sizeof(Vertex);
   }
   if (coarse_ctx_ != nullptr) total += coarse_ctx_->memory_estimate_bytes();
-  if (fine_splitter_ != nullptr) total += splitter_estimate_bytes(*g_);
   return total;
 }
 

@@ -13,12 +13,15 @@
 // FastContext is the warm path: heavy-edge matching depends only on edge
 // costs and the coarsening seed, so the level *structure* (graphs, parent
 // maps) is invariant across calls with different vertex weights and is
-// cached; only the per-level weight sums are refreshed per call.  The
-// coarsest level runs through a warm DecomposeContext and the finest-level
-// closing pass through a persistent splitter, so after call one a
-// FastContext performs zero coarsening, splitter, or OrderingCache
-// rebuilds — and one shared ThreadPool (FastOptions::inner.num_threads)
-// drives both levels' splitters with bit-identical-to-serial results.
+// cached; only the per-level weight sums are refreshed per call.  A
+// FastContext is two warm DecomposeContexts: the fine context, bound to
+// the host graph, owns the ThreadPool (FastOptions::inner.num_threads),
+// the workspace and the splitter of the finest-level closing pass; a
+// coarse context, bound to the coarsest graph, runs the pipeline there on
+// the fine context's pool and workspace.  While nothing is coarsened the
+// fine context runs the pipeline itself.  After call one a FastContext
+// performs zero coarsening, splitter, or OrderingCache rebuilds, and the
+// results are bit-identical to serial.
 #pragma once
 
 #include "core/context.hpp"
@@ -59,14 +62,12 @@ struct FastResult {
 };
 
 /// Instrumentation counters of a FastContext; the warm-path regression
-/// test pins every build counter at 1 (or 0) across repeated calls.
+/// test pins every build counter at 1 across repeated calls.  The pool and
+/// finest-level splitter builds are the fine context's
+/// (fine_context().stats()).
 struct FastContextStats {
   long fast_calls = 0;        ///< decompose calls served
   int coarsen_builds = 0;     ///< multilevel hierarchy (re)constructions
-  int fine_splitter_builds = 0;  ///< finest-level splitter (re)constructions
-  int pool_builds = 0;        ///< shared thread-pool (re)constructions
-  int pool_construct_failures = 0;  ///< pool builds that threw; degraded to
-                                    ///< serial (see OwnedPool)
   long degraded_calls = 0;    ///< decompose calls that returned degraded
 };
 
@@ -86,10 +87,12 @@ struct FastContextStats {
 /// a call, not across calls.
 class FastContext {
  public:
-  /// Bind to `g` (borrowed; must outlive the context).  The hierarchy is
-  /// built lazily on the first decompose call (coarsening weight sums need
-  /// a weight vector).  `external_ws` (optional, borrowed) substitutes the
-  /// context's own workspace, mirroring DecomposeContext.
+  /// Bind to `g` (borrowed; must outlive the context) and build the fine
+  /// context.  The hierarchy is built lazily on the first decompose call
+  /// (coarsening weight sums need a weight vector).  `external_ws`
+  /// (optional, borrowed) substitutes the fine context's own workspace.
+  /// \throws std::invalid_argument when inner.num_threads is outside
+  ///         [1, kMaxThreads], before any pool is built
   explicit FastContext(const Graph& g, const FastOptions& options = {},
                        DecomposeWorkspace* external_ws = nullptr);
   ~FastContext();
@@ -112,25 +115,25 @@ class FastContext {
   ///         [1, kMaxThreads], before any pool is built
   FastResult decompose(std::span<const double> w, const FastOptions& options);
 
-  const Graph& graph() const { return *g_; }
+  const Graph& graph() const { return fine_.graph(); }
   /// The bound options: the last call's, with the constructor's exec and
   /// diagnostics.
   const FastOptions& options() const { return options_; }
-  /// Warm context serving the coarsest level (bound to `graph()` itself
-  /// while no coarsening applies); its stats expose the coarse-level
-  /// splitter builds.  The context is built lazily by the first decompose
-  /// call (the hierarchy needs a weight vector), so requesting it before
-  /// then — or right after a reconcile invalidated it — throws.
-  DecomposeContext& coarse_context() {
-    MMD_REQUIRE(coarse_ctx_ != nullptr,
-                "coarse_context() needs a prior decompose call");
-    return *coarse_ctx_;
-  }
+  /// The context bound to `graph()` itself.  It owns the thread pool, the
+  /// workspace and the splitter of the closing binpack2 pass, and its
+  /// stats count their builds.
+  DecomposeContext& fine_context() { return fine_; }
+  /// The warm context serving the coarsest level: one bound to the
+  /// coarsest graph, which borrows the fine context's pool and workspace,
+  /// or the fine context itself while no coarsening applies.  The
+  /// hierarchy is built lazily by the first decompose call (it needs a
+  /// weight vector), so requesting the context before then — or right
+  /// after a reconcile invalidated it — throws.
+  DecomposeContext& coarse_context();
   const FastContextStats& stats() const { return stats_; }
 
   /// Estimated heap footprint of the warm state kept between calls: the
-  /// cached hierarchy (exact, by capacity), the coarse context's estimate,
-  /// the finest-level splitter estimate, and the owned workspace pools.
+  /// cached hierarchy (exact, by capacity) and both contexts' estimates.
   /// Excludes the borrowed host graph.  See
   /// DecomposeContext::memory_estimate_bytes.
   std::size_t memory_estimate_bytes() const;
@@ -149,32 +152,22 @@ class FastContext {
     std::vector<Vertex> parent;   ///< mapping from the next finer level
   };
 
-  /// Bind `options` (keeping the constructor's exec and diagnostics) and
-  /// make pool/splitters/hierarchy match them, rebuilding only what an
-  /// actual change invalidates.
+  /// Bind `options` (the fine context keeps the constructor's exec and
+  /// diagnostics) and drop what an actual change invalidates.
   void reconcile(const FastOptions& options);
   /// Build the hierarchy (first call / after invalidation) or refresh the
-  /// per-level weight sums for `w`.
+  /// per-level weight sums for `w`, and the coarse context it needs.
   void ensure_levels(std::span<const double> w);
-  /// Coarse-level pipeline options: `inner` with refinement forced on and
-  /// the pool supplied externally.
-  static DecomposeOptions coarse_options(const DecomposeOptions& inner);
-  /// The finest-level splitter, stamped with `inner`.
-  ISplitter& fine_splitter(const DecomposeOptions& inner);
 
   ExclusiveUse use_;
-  const Graph* g_;
   FastOptions options_;
   std::vector<Level> levels_;
   bool levels_built_ = false;
-  // Declaration order doubles as lifetime order: the workspace and pool
-  // are borrowed by coarse_ctx_ / fine_splitter_, so they are declared
-  // first (destroyed last).
-  DecomposeWorkspace own_ws_;
-  DecomposeWorkspace* ws_;
-  OwnedPool pool_;                            ///< shared by both levels
-  std::unique_ptr<DecomposeContext> coarse_ctx_;
-  std::unique_ptr<ISplitter> fine_splitter_;  ///< closing binpack2 pass
+  // Declaration order doubles as lifetime order: coarse_ctx_ borrows the
+  // coarsest level and the fine context's pool and workspace, so it is
+  // declared last (destroyed first).
+  DecomposeContext fine_;
+  std::unique_ptr<DecomposeContext> coarse_ctx_;  ///< null while no level
   FastContextStats stats_;
 };
 

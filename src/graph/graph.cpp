@@ -98,36 +98,27 @@ Graph GraphBuilder::build() {
   }
   std::vector<RawEdge>().swap(edges_);
 
-  g.wide_offsets_ =
-      force_wide_ || 2 * static_cast<std::uint64_t>(m) >= (std::uint64_t{1} << 32);
-
   // CSR emission with the xadj array doubling as the insertion cursor:
   // count degrees, prefix-sum, place half-edges at xadj[v]++, then shift
   // the offsets back one slot.  O(1) extra memory per edge.
   g.half_.resize(2 * m);
-  const auto emit_csr = [&](auto& xadj) {
-    xadj.assign(static_cast<std::size_t>(n_) + 1, 0);
-    for (const auto& en : g.ends_) {
-      ++xadj[static_cast<std::size_t>(en.tail) + 1];
-      ++xadj[static_cast<std::size_t>(en.head) + 1];
-    }
-    for (Vertex v = 0; v < n_; ++v)
-      xadj[static_cast<std::size_t>(v) + 1] += xadj[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto e = static_cast<EdgeId>(i);
-      const Vertex u = g.ends_[i].tail, v = g.ends_[i].head;
-      g.half_[static_cast<std::size_t>(xadj[static_cast<std::size_t>(u)]++)] = {v, e};
-      g.half_[static_cast<std::size_t>(xadj[static_cast<std::size_t>(v)]++)] = {u, e};
-    }
-    for (Vertex v = n_; v > 0; --v)
-      xadj[static_cast<std::size_t>(v)] = xadj[static_cast<std::size_t>(v) - 1];
-    if (n_ >= 0) xadj[0] = 0;
-  };
-  if (g.wide_offsets_) {
-    emit_csr(g.xadj64_);
-  } else {
-    emit_csr(g.xadj32_);
+  std::vector<std::uint32_t>& xadj = g.xadj_;
+  xadj.assign(static_cast<std::size_t>(n_) + 1, 0);
+  for (const auto& en : g.ends_) {
+    ++xadj[static_cast<std::size_t>(en.tail) + 1];
+    ++xadj[static_cast<std::size_t>(en.head) + 1];
   }
+  for (Vertex v = 0; v < n_; ++v)
+    xadj[static_cast<std::size_t>(v) + 1] += xadj[static_cast<std::size_t>(v)];
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto e = static_cast<EdgeId>(i);
+    const Vertex u = g.ends_[i].tail, v = g.ends_[i].head;
+    g.half_[xadj[static_cast<std::size_t>(u)]++] = {v, e};
+    g.half_[xadj[static_cast<std::size_t>(v)]++] = {u, e};
+  }
+  for (Vertex v = n_; v > 0; --v)
+    xadj[static_cast<std::size_t>(v)] = xadj[static_cast<std::size_t>(v) - 1];
+  xadj[0] = 0;
 
   g.wdeg_.assign(static_cast<std::size_t>(n_), 0.0);
   g.max_wdeg_ = 0.0;
@@ -146,7 +137,6 @@ Graph GraphBuilder::build() {
 
   edges_.clear();
   n_ = 0;
-  force_wide_ = false;
   return g;
 }
 

@@ -23,9 +23,8 @@
 //     in ecost_ — incidence() materializes HalfEdge{to, id, cost} values
 //     on the fly, so the fused-stride call sites are unchanged while the
 //     per-half-edge cost copy is gone.
-//   * Offsets are 32-bit (xadj32_) whenever 2m < 2^32 — i.e. always,
-//     given EdgeId is int32 — and fall back to 64-bit (xadj64_) when a
-//     builder is forced wide (test hook for the width-switch contract).
+//   * Offsets are 32-bit (xadj_): GraphBuilder refuses 2^31 edges, so
+//     2m < 2^32 always holds and one width serves every graph.
 //   * Endpoints are a packed (tail, head) struct-of-arrays entry.
 // Net: 32 bytes/edge of edge storage vs 64 in the pre-PR9 layout.
 #pragma once
@@ -242,10 +241,6 @@ class Graph {
   double max_weighted_degree() const { return max_wdeg_; }
   int max_degree() const { return max_deg_; }
 
-  /// True when CSR offsets are stored as 64-bit values (2m >= 2^32, or a
-  /// builder forced wide for the width-switch tests).
-  bool wide_offsets() const { return wide_offsets_; }
-
   // --- coordinates (grid / geometric instances) -------------------------
   bool has_coords() const { return dim_ > 0; }
   int dim() const { return dim_; }
@@ -279,8 +274,7 @@ class Graph {
   /// PartitionService budgets its entries with this plus the contexts'
   /// own estimates.
   std::size_t memory_bytes() const {
-    return sizeof(*this) + xadj32_.capacity() * sizeof(std::uint32_t) +
-           xadj64_.capacity() * sizeof(std::uint64_t) +
+    return sizeof(*this) + xadj_.capacity() * sizeof(std::uint32_t) +
            half_.capacity() * sizeof(graph_detail::PackedHalf) +
            ends_.capacity() * sizeof(graph_detail::EdgeEnds) +
            (ecost_.capacity() + wdeg_.capacity()) * sizeof(double) +
@@ -290,12 +284,9 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  /// Start of v's half-edge run in half_; the one width branch on the
-  /// accessor path (predicted perfectly — the flag never changes after
-  /// build).
+  /// Start of v's half-edge run in half_.
   std::size_t offset(Vertex v) const {
-    const auto i = static_cast<std::size_t>(v);
-    return wide_offsets_ ? static_cast<std::size_t>(xadj64_[i]) : xadj32_[i];
+    return xadj_[static_cast<std::size_t>(v)];
   }
 
   void check_vertex(Vertex v) const {
@@ -310,9 +301,7 @@ class Graph {
 
   Vertex n_ = 0;
   EdgeId m_ = 0;
-  bool wide_offsets_ = false;
-  std::vector<std::uint32_t> xadj32_;  // size n+1 when !wide_offsets_
-  std::vector<std::uint64_t> xadj64_;  // size n+1 when wide_offsets_
+  std::vector<std::uint32_t> xadj_;    // size n+1
   std::vector<graph_detail::PackedHalf> half_;  // size 2m, (to, id) packed
   std::vector<graph_detail::EdgeEnds> ends_;    // size m, tail < head
   std::vector<double> ecost_;          // size m
@@ -341,11 +330,6 @@ class GraphBuilder {
 
   Vertex num_vertices() const { return n_; }
 
-  /// Test hook for the 32-/64-bit width-switch contract: force the built
-  /// graph to use 64-bit CSR offsets even when 2m < 2^32.  Decompose
-  /// results must be bitwise identical across both representations.
-  void force_wide_offsets_for_testing(bool wide) { force_wide_ = wide; }
-
   /// Finalize.  The builder is left empty afterwards.  Streaming build:
   /// duplicates are coalesced in place (sort + unique, no side copy), the
   /// raw edge list is released before the half-edge array is allocated,
@@ -356,7 +340,6 @@ class GraphBuilder {
  private:
   Vertex n_ = 0;
   int dim_ = 0;
-  bool force_wide_ = false;
   struct RawEdge {
     Vertex u, v;
     double cost;

@@ -23,7 +23,7 @@ const char* to_string(ServiceStatus status) {
 }
 
 PartitionService::PartitionService(const PartitionServiceOptions& options)
-    : options_(options), queue_(options.queue_capacity) {
+    : options_(options), queue_(kQueueCapacity) {
   require_thread_count(options.num_workers, "num_workers");
   // The contexts' pool policy (OwnedPool): the serial round loop computes
   // identical responses, so a pool that cannot be built only reports on

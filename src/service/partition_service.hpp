@@ -162,9 +162,6 @@ struct PartitionServiceOptions {
   /// evicted at the next opportunity — the budget bounds *retained* warm
   /// state, it never fails a request.
   std::size_t context_budget_bytes = std::size_t(256) << 20;
-  /// Admission queue bound: execute() blocks (backpressure) while this
-  /// many requests are already queued.
-  std::size_t queue_capacity = 256;
   /// Service-level worker lanes for a round's per-graph groups; 1 =
   /// groups run serially on the leader.  Independent of (and composing
   /// with) per-request DecomposeOptions::num_threads.  Both must lie in
@@ -255,6 +252,10 @@ class PartitionService {
 
   const PartitionServiceOptions options_;
   DecomposeDiagnostics diag_;
+
+  /// Admission queue bound: execute() blocks (backpressure) while this
+  /// many requests are already queued.
+  static constexpr std::size_t kQueueCapacity = 256;
 
   // Admission + round leadership.  round_mu_ guards leader_active_ and
   // every Pending::done flag; the queue's closed flag is the shutdown state.

@@ -205,11 +205,12 @@ expect_rep "bogus deltas rejected" 6 '"status":"bad_request"'
 expect_rep "delta index 2^32 rejected" 7 '"status":"bad_request"'
 
 # 15. --mem-stats prints the graph/workspace/context byte breakdown even
-#     under --quiet, with a non-zero graph footprint.
+#     under --quiet, with a non-zero graph footprint; in fast mode too,
+#     where the workspace is the fine context's.
 mem_out="$("$bin" -k 3 --quiet --mem-stats "$good")"
 check "--mem-stats" 0 $?
 case "$mem_out" in
-  *"graph_bytes="*"bytes_per_edge="*"offsets=32-bit"*) echo "ok: mem-stats graph line" ;;
+  *"graph_bytes="*"bytes_per_edge="*) echo "ok: mem-stats graph line" ;;
   *) echo "FAIL: mem-stats lacks graph breakdown: $mem_out" >&2; fails=$((fails + 1)) ;;
 esac
 case "$mem_out" in
@@ -220,6 +221,13 @@ case "$mem_out" in
   *"graph_bytes=0 "*) echo "FAIL: mem-stats graph_bytes is zero" >&2; fails=$((fails + 1)) ;;
   *"peak_rss_bytes="*) echo "ok: mem-stats rss line" ;;
   *) echo "FAIL: mem-stats lacks peak_rss_bytes: $mem_out" >&2; fails=$((fails + 1)) ;;
+esac
+fast_mem_out="$("$bin" -k 3 --quiet --fast --mem-stats "$good")"
+check "--fast --mem-stats" 0 $?
+case "$fast_mem_out" in
+  *"workspace_bytes=0 "*) echo "FAIL: --fast --mem-stats workspace_bytes is zero" >&2; fails=$((fails + 1)) ;;
+  *"workspace_bytes="*) echo "ok: --fast --mem-stats workspace line" ;;
+  *) echo "FAIL: --fast --mem-stats lacks workspace_bytes: $fast_mem_out" >&2; fails=$((fails + 1)) ;;
 esac
 
 # 16. --sweep-mode: the explicit default spelling is byte-identical to the

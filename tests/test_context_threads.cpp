@@ -242,7 +242,8 @@ TEST(ContextThreads, ThreadCountAboveCapIsRejectedBeforeAnyPool) {
   EXPECT_EQ(ctx.thread_pool(), nullptr);
   EXPECT_EQ(ctx.options().num_threads, 1);
   EXPECT_EQ(ctx.stats().pool_builds + ctx.stats().pool_construct_failures, 0);
-  EXPECT_EQ(fctx.stats().pool_builds + fctx.stats().pool_construct_failures,
+  EXPECT_EQ(fctx.fine_context().stats().pool_builds +
+                fctx.fine_context().stats().pool_construct_failures,
             0);
   expect_total_coloring(g, ctx.decompose(w).coloring);
 }

@@ -213,26 +213,44 @@ TEST_F(ExecControlDecompose, PerCallExecDoesNotOutliveItsCall) {
 
 TEST_F(ExecControlDecompose, PerCallSinkDoesNotOutliveItsCall) {
   // A call's diagnostics sink is per-call state like its exec: the context
-  // keeps the constructor's, and the calls without options after it stamp
-  // that one onto the splitter.
+  // keeps the constructor's, and its splitter carries the constructor's
+  // sink and exec again as soon as a call ends, also when it throws.
   const Fixture f = small_grid_fixture();
   DecomposeDiagnostics bound, call;
+  CancelToken token;
   DecomposeOptions opt = f.opt;
   opt.diagnostics = &bound;
   DecomposeContext ctx(f.g, opt);
   ctx.set_weights(f.w);
   DecomposeOptions carry = f.opt;
   carry.diagnostics = &call;
+  carry.exec.cancel = &token;
+  DecomposeOptions expired = carry;
+  expired.exec = ExecControl::with_timeout_ms(0);
+  expired.exec.cancel = &token;
+  const auto expect_bound = [&](const char* after) {
+    EXPECT_EQ(ctx.splitter().diagnostics(), &bound) << after;
+    EXPECT_EQ(ctx.splitter().exec_control().cancel, nullptr) << after;
+  };
 
   ctx.decompose(f.w, carry);
   EXPECT_EQ(ctx.options().diagnostics, &bound);
+  expect_bound("decompose");
+  EXPECT_THROW(ctx.decompose(f.w, expired), DeadlineExceeded);
+  expect_bound("a throwing decompose");
   ctx.decompose(f.w);
   EXPECT_EQ(ctx.splitter().diagnostics(), &bound);
 
   ctx.repartition({}, carry);
   EXPECT_EQ(ctx.options().diagnostics, &bound);
+  expect_bound("repartition");
   ctx.repartition();
   EXPECT_EQ(ctx.splitter().diagnostics(), &bound);
+
+  ctx.decompose_multi(f.w, {}, carry);
+  expect_bound("decompose_multi");
+  EXPECT_THROW(ctx.decompose_multi(f.w, {}, expired), DeadlineExceeded);
+  expect_bound("a throwing decompose_multi");
 }
 
 TEST_F(ExecControlDecompose, CancelFiresExactlyAtTheArmedCheckpoint) {
@@ -439,10 +457,13 @@ TEST_F(ExecControlFast, PerCallExecDoesNotOutliveItsCall) {
 }
 
 TEST_F(ExecControlFast, PerCallSinkDoesNotOutliveItsCall) {
-  // The sink follows the exec rule too, down to the coarse-level context.
+  // The sink follows the exec rule too, down to the coarse-level context,
+  // and neither level's splitter keeps a call's sink or token once the
+  // call ends, also when it throws.
   const Graph g = make_grid_cube(2, 12);
   const auto w = testing::weights_for(g, WeightModel::Uniform, 29);
   DecomposeDiagnostics bound, call;
+  CancelToken token;
   FastOptions opt;
   opt.inner.k = 4;
   opt.coarse_target = 40;
@@ -450,10 +471,25 @@ TEST_F(ExecControlFast, PerCallSinkDoesNotOutliveItsCall) {
   FastContext ctx(g, opt);
   FastOptions carry = opt;
   carry.inner.diagnostics = &call;
+  carry.inner.exec.cancel = &token;
+  const auto expect_bound = [&](const char* after) {
+    for (DecomposeContext* level :
+         {&ctx.fine_context(), &ctx.coarse_context()}) {
+      EXPECT_EQ(level->splitter().diagnostics(), &bound) << after;
+      EXPECT_EQ(level->splitter().exec_control().cancel, nullptr) << after;
+    }
+  };
 
-  ctx.decompose(w, carry);
+  ASSERT_GT(ctx.decompose(w, carry).levels, 0) << "fixture must coarsen";
   EXPECT_EQ(ctx.options().inner.diagnostics, &bound);
   EXPECT_EQ(ctx.coarse_context().options().diagnostics, &bound);
+  expect_bound("a carrying call");
+  // A deadline a few checkpoints in strikes inside the coarse-level
+  // pipeline, after its splitter was stamped with the call's options.
+  fault::arm_checkpoint_fault(3, fault::CheckpointFault::Deadline);
+  EXPECT_THROW(ctx.decompose(w, carry), DeadlineExceeded);
+  fault::disarm();
+  expect_bound("a throwing call");
   ctx.decompose(w);
   EXPECT_EQ(ctx.coarse_context().splitter().diagnostics(), &bound);
 }

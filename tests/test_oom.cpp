@@ -218,7 +218,7 @@ TEST_F(Oom, FailedFastContextPoolDegradesOnceAndIsNotRetried) {
   opt.inner.k = 4;
   opt.inner.num_threads = 2;
   opt.inner.diagnostics = &diag;
-  opt.coarse_target = 64;  // coarsen, so the finest level has its splitter
+  opt.coarse_target = 64;  // coarsen, so a coarse context borrows the pool
   FastOptions serial = opt;
   serial.inner.num_threads = 1;
   serial.inner.diagnostics = nullptr;
@@ -226,7 +226,9 @@ TEST_F(Oom, FailedFastContextPoolDegradesOnceAndIsNotRetried) {
 
   auto ctx = construct_with_failed_pool<FastContext>(
       [&] { return std::make_unique<FastContext>(g, opt); },
-      [](FastContext& c) { return c.stats().pool_construct_failures > 0; });
+      [](FastContext& c) {
+        return c.fine_context().stats().pool_construct_failures > 0;
+      });
   ASSERT_NE(ctx, nullptr) << "no allocation index reached the pool";
   EXPECT_EQ(diag.pool_construct_failures.load(), 1);
 
@@ -234,26 +236,26 @@ TEST_F(Oom, FailedFastContextPoolDegradesOnceAndIsNotRetried) {
   EXPECT_EQ(first.coloring.color, reference.coloring.color);
   ASSERT_GT(first.levels, 0);
   EXPECT_EQ(ctx->coarse_context().thread_pool(), nullptr);
-  EXPECT_EQ(ctx->stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx->fine_context().stats().splitter_builds, 1);
   EXPECT_EQ(ctx->coarse_context().stats().decompose_calls, 1);
 
-  // Same options: no pool retry, and nothing that borrows the pool (the
-  // coarse context, the finest-level splitter) is rebuilt either.
+  // Same options: no pool retry, and neither the coarse context, which
+  // borrows the pool, nor the finest-level splitter is rebuilt either.
   for (int call = 0; call < 3; ++call) {
     EXPECT_EQ(ctx->decompose(w, opt).coloring.color, reference.coloring.color)
         << "call " << call;
     EXPECT_EQ(ctx->coarse_context().stats().decompose_calls, call + 2);
   }
-  EXPECT_EQ(ctx->stats().pool_builds, 0);
-  EXPECT_EQ(ctx->stats().pool_construct_failures, 1);
-  EXPECT_EQ(ctx->stats().fine_splitter_builds, 1);
+  EXPECT_EQ(ctx->fine_context().stats().pool_builds, 0);
+  EXPECT_EQ(ctx->fine_context().stats().pool_construct_failures, 1);
+  EXPECT_EQ(ctx->fine_context().stats().splitter_builds, 1);
   EXPECT_EQ(ctx->stats().coarsen_builds, 1);
   EXPECT_EQ(diag.pool_construct_failures.load(), 1);
 
   FastOptions four = opt;
   four.inner.num_threads = 4;
   EXPECT_EQ(ctx->decompose(w, four).coloring.color, reference.coloring.color);
-  EXPECT_EQ(ctx->stats().pool_builds, 1);
+  EXPECT_EQ(ctx->fine_context().stats().pool_builds, 1);
   EXPECT_NE(ctx->coarse_context().thread_pool(), nullptr);
 }
 

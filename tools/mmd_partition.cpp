@@ -486,6 +486,7 @@ int main(int argc, char** argv) {
         // here lets us read the warm footprint before teardown.
         FastContext fctx(g, opt);
         FastResult r = fctx.decompose(in.weights);
+        ws_bytes = fctx.fine_context().workspace().memory_bytes();
         ctx_bytes = fctx.memory_estimate_bytes();
         return r;
       }();
@@ -638,9 +639,8 @@ int main(int argc, char** argv) {
       const std::size_t gb = g.memory_bytes();
       const double bpe =
           g.num_edges() > 0 ? static_cast<double>(gb) / g.num_edges() : 0.0;
-      std::printf("mem-stats: graph_bytes=%zu bytes_per_edge=%.1f "
-                  "offsets=%s\n",
-                  gb, bpe, g.wide_offsets() ? "64-bit" : "32-bit");
+      std::printf("mem-stats: graph_bytes=%zu bytes_per_edge=%.1f\n", gb,
+                  bpe);
       std::printf("mem-stats: workspace_bytes=%zu context_estimate_bytes=%zu\n",
                   ws_bytes, ctx_bytes);
       std::printf("mem-stats: peak_rss_bytes=%zu current_rss_bytes=%zu\n",

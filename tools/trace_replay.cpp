@@ -253,8 +253,7 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
           if (diff > max_boundary_vs_seed) max_boundary_vs_seed = diff;
           last_full_boundary = resp.max_boundary;
         } else if (resp.max_boundary >
-                   opt.incremental.max_boundary_growth * last_full_boundary +
-                       1e-9) {
+                   kMaxBoundaryGrowth * last_full_boundary + 1e-9) {
           ++envelope_violations;
         }
 
