@@ -13,12 +13,16 @@
 // both and keeps the better.
 #pragma once
 
+#include "core/workspace.hpp"
 #include "graph/coloring.hpp"
 #include "separators/splitter.hpp"
 
 namespace mmd {
 
+/// `ws` (optional) lends the n-sized marker each recursion node needs to
+/// split off its right half, so the recursion allocates no marker.
 Coloring recursive_bisection_coloring(const Graph& g, std::span<const double> w,
-                                      int k, ISplitter& splitter);
+                                      int k, ISplitter& splitter,
+                                      DecomposeWorkspace* ws = nullptr);
 
 }  // namespace mmd

@@ -135,7 +135,7 @@ DecomposeResult run_arm(const Graph& g, std::span<const double> w,
   // or a Simon–Teng warm start when requested).
   Coloring chi;
   if (options.init == InitMethod::Bisection) {
-    chi = recursive_bisection_coloring(g, w, options.k, splitter);
+    chi = recursive_bisection_coloring(g, w, options.k, splitter, &wsr);
   } else {
     // The user measures are w and the extras; without the Psi pass,
     // plain Lemma 6 balances pi alongside them.

@@ -8,19 +8,28 @@
 
 namespace mmd {
 
-std::vector<std::vector<Vertex>> iterative_partition(
-    const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
-    double chunk_weight, ISplitter& splitter, double* cut_cost,
-    DecomposeWorkspace* ws) {
+namespace {
+
+/// IterativePartition's peel loop (Lemma 28): while the rest of U weighs
+/// more than 3 * chunk_weight, split a chunk of Psi-weight in [chunk_weight,
+/// chunk_weight + ||Psi|rest||_inf] off it.  `certified()` is asked before
+/// every split and ends the peel when it returns true; the return value
+/// says whether it did.  `chunks` receives the peeled chunks in peel order,
+/// `rest` what was not peeled.
+template <typename Certified>
+bool peel_chunks(const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
+                 double chunk_weight, ISplitter& splitter, double* cut_cost,
+                 DecomposeWorkspace* ws, std::vector<std::vector<Vertex>>& chunks,
+                 std::vector<Vertex>& rest, Certified&& certified) {
   MMD_REQUIRE(chunk_weight > 0.0, "chunk weight must be positive");
   DecomposeWorkspace local_ws;
   const auto in_chunk = (ws ? *ws : local_ws).membership(g.num_vertices());
-  std::vector<std::vector<Vertex>> chunks;
-  std::vector<Vertex> rest(u_list.begin(), u_list.end());
+  rest.assign(u_list.begin(), u_list.end());
 
   double rest_weight = set_measure(psi, rest);
   const std::size_t max_chunks = u_list.size() + 2;
   while (rest_weight > 3.0 * chunk_weight && !rest.empty()) {
+    if (certified()) return true;
     MMD_REQUIRE(chunks.size() < max_chunks, "iterative_partition diverged");
     const double wmax = set_measure_max(psi, rest);
     SplitRequest req;
@@ -36,6 +45,19 @@ std::vector<std::vector<Vertex>> iterative_partition(
     rest_weight -= x.weight;
     chunks.push_back(std::move(x.inside));
   }
+  return false;
+}
+
+}  // namespace
+
+std::vector<std::vector<Vertex>> iterative_partition(
+    const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
+    double chunk_weight, ISplitter& splitter, double* cut_cost,
+    DecomposeWorkspace* ws) {
+  std::vector<std::vector<Vertex>> chunks;
+  std::vector<Vertex> rest;
+  peel_chunks(g, u_list, psi, chunk_weight, splitter, cut_cost, ws, chunks,
+              rest, [] { return false; });
   if (!rest.empty()) chunks.push_back(std::move(rest));
   return chunks;
 }
@@ -86,13 +108,46 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
     return out;
   }
 
-  // Lemma 30: chunks of weight about target / max(r,1), then the union of
+  // Lemma 30: chunks of weight c = target / (r+1), then the union of
   // per-measure argmax chunks ...
   const auto r = std::max<std::size_t>(aux.size(), 1);
   const double chunk_weight = std::max(target / static_cast<double>(r + 1), 1e-300);
-  auto chunks = iterative_partition(g, u_list, psi, chunk_weight, splitter,
-                                    &out.cut_cost, ws);
-  MMD_ASSERT(!chunks.empty(), "partition produced no chunks");
+
+  // ... peeled only until the share they must reach is certified.  Every
+  // chunk of a full partition but the final remainder weighs >= c, so there
+  // are at most w(U) / c of them and the argmax chunk of measure j holds at
+  // least tau_j = m_j(U) * c / w(U) -- the bound Lemma 30's proof uses.
+  // Once every measure has a peeled chunk holding its tau_j, the peel stops
+  // and the argmax runs over the peeled chunks; otherwise the remainder
+  // joins them as the last chunk, exactly as in the full partition.
+  std::vector<double> tau(aux.size());
+  for (std::size_t j = 0; j < aux.size(); ++j)
+    tau[j] = set_measure(aux[j], u_list) * chunk_weight / total;
+  std::vector<double> best(aux.size(), -1.0);   // max m_j over recorded chunks
+  std::vector<std::size_t> arg(aux.size(), 0);  // its earliest chunk
+  std::vector<std::vector<Vertex>> chunks;
+  std::size_t recorded = 0;
+  auto record_chunks = [&] {
+    for (; recorded < chunks.size(); ++recorded)
+      for (std::size_t j = 0; j < aux.size(); ++j) {
+        const double m = set_measure(aux[j], chunks[recorded]);
+        if (m > best[j]) {
+          best[j] = m;
+          arg[j] = recorded;
+        }
+      }
+  };
+  std::vector<Vertex> rest;
+  const bool certified = peel_chunks(
+      g, u_list, psi, chunk_weight, splitter, &out.cut_cost, ws, chunks, rest,
+      [&] {
+        record_chunks();
+        for (std::size_t j = 0; j < aux.size(); ++j)
+          if (best[j] < tau[j]) return false;
+        return true;
+      });
+  if (!certified && !rest.empty()) chunks.push_back(std::move(rest));
+  record_chunks();
 
   DecomposeWorkspace local_ws;
   const auto taken = (ws ? *ws : local_ws).membership(g.num_vertices());
@@ -105,23 +160,13 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
       weight += psi[static_cast<std::size_t>(v)];
     }
   };
-  for (std::size_t j = 0; j < aux.size(); ++j) {
-    std::size_t arg = 0;
-    double best = -1.0;
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      const double m = set_measure(aux[j], chunks[i]);
-      if (m > best) {
-        best = m;
-        arg = i;
-      }
-    }
-    if (weight + set_measure(psi, chunks[arg]) <= target + 1e-12 * (1.0 + target))
-      take_chunk(arg);
-  }
+  for (std::size_t j = 0; j < aux.size(); ++j)
+    if (weight + set_measure(psi, chunks[arg[j]]) <= target + 1e-12 * (1.0 + target))
+      take_chunk(arg[j]);
 
   // ... padded with a splitting set of the remainder up to the target.
   if (weight < target) {
-    std::vector<Vertex> rest;
+    rest.clear();
     rest.reserve(u_list.size());
     for (Vertex v : u_list)
       if (!taken->contains(v)) rest.push_back(v);
@@ -141,19 +186,6 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
   }
   out.psi_weight = weight;
   return out;
-}
-
-void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
-                         std::vector<double>& scratch) {
-  scratch.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  Membership in_u(g.num_vertices());
-  in_u.assign(u_list);
-  for (Vertex v : u_list) {
-    double s = 0.0;
-    for (const HalfEdge& h : g.incidence(v))
-      if (!in_u.contains(h.to)) s += h.cost;
-    scratch[static_cast<std::size_t>(v)] = s;
-  }
 }
 
 void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,

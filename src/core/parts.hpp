@@ -10,7 +10,10 @@
 //   * extract_hitting_part (Lemma 30, Corollary 18): return a part that
 //     *contains* an argmax chunk of every auxiliary measure, padded with a
 //     splitting set up to the requested weight, so that the remainder
-//     U \ X loses a definite fraction of every measure.
+//     U \ X loses a definite fraction of every measure.  It peels chunks
+//     with IterativePartition's splits and stops as soon as every measure
+//     has a chunk holding the share a full partition would guarantee,
+//     usually after a few chunks instead of all of U.
 // The boundary cost d(X) is handled by passing the boundary measure
 // v -> c(delta(v) cap delta(U)) as one of the auxiliary measures (the
 // corollaries' Phi(r) trick).
@@ -24,6 +27,8 @@ namespace mmd {
 /// Lemma 28 (procedure IterativePartition): partition U into chunks, each
 /// of Psi-weight >= chunk_weight (except possibly when U itself is
 /// lighter) and <= max(3*chunk_weight, chunk_weight + ||Psi|U||_inf).
+/// Chunks are peeled off in order, one split each, and the final chunk is
+/// the remainder; extract_hitting_part runs the same peel loop.
 /// Adds the applied splitter cut costs to *cut_cost if given.  `ws`
 /// (optional) lends the n-sized marker, here and in the two extractions
 /// below, so repeated calls allocate no marker.
@@ -48,22 +53,30 @@ ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
 
 /// Corollary 18 via Lemma 30: X with Psi(X) in [target, target + wmax]
 /// containing a maximal chunk of every measure in `aux`.
+///
+/// The chunks have weight c = target / (r+1), r = max(|aux|, 1), and are
+/// peeled exactly as iterative_partition peels them, but only until the
+/// certificate Lemma 30 needs holds: the peel stops before its next split
+/// once every measure m_j has a peeled chunk holding at least
+/// tau_j = m_j(U) * c / Psi(U), the share a full partition's argmax chunk
+/// is guaranteed.  X takes, per measure, the argmax among the peeled
+/// chunks (ties to the earliest; a chunk that would push Psi(X) past the
+/// target is skipped).  When the peel runs out first, the remainder joins
+/// as the last chunk and the result is the full partition's.  Either way X
+/// is then padded with one splitting set of U minus the taken chunks.  The
+/// result is a pure function of the inputs, so concurrent extractions on
+/// distinct classes answer as a serial loop.
 ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_list,
                                    MeasureRef psi, double target,
                                    std::span<const MeasureRef> aux,
                                    ISplitter& splitter,
                                    DecomposeWorkspace* ws = nullptr);
 
-/// The boundary measure of U: out[v] = c(delta(v) cap delta(U)) for v in U
-/// (0 elsewhere); written into `scratch` (resized to n, zeroed only at the
-/// touched positions of the previous call via the returned touch list).
-void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
-                         std::vector<double>& scratch);
-
-/// Scratch-reusing variant: `touched` must be the u_list of the previous
-/// call on this scratch (so only those entries need re-zeroing) and is
-/// updated to the current one; `in_u` is clobbered.  O(|U| deg) per call
-/// instead of O(n).
+/// The boundary measure of U: scratch[v] = c(delta(v) cap delta(U)) for v
+/// in U, 0 elsewhere.  `scratch` is sized to n on first use; after that
+/// only the entries listed in `touched` -- the u_list of the previous call
+/// on this scratch -- are re-zeroed, and `touched` becomes the current
+/// u_list.  `in_u` is clobbered.  O(|U| deg) per call instead of O(n).
 void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
                          std::vector<double>& scratch,
                          std::vector<Vertex>& touched, Membership& in_u);

@@ -12,10 +12,18 @@ namespace mmd {
 namespace {
 
 /// deg_W measure: degree of v inside G[W] (Section 5 uses it to force the
-/// geometric size decrease of condition (c)).
-std::vector<double> degree_measure(const Graph& g, std::span<const Vertex> w_list,
-                                   DecomposeWorkspace& ws) {
-  std::vector<double> deg(static_cast<std::size_t>(g.num_vertices()), 0.0);
+/// geometric size decrease of condition (c)), built in the workspace's
+/// n-sized buffer: only the previous W's entries are re-zeroed.
+MeasureRef degree_measure(const Graph& g, std::span<const Vertex> w_list,
+                          DecomposeWorkspace& ws) {
+  std::vector<double>& deg = ws.shrink.deg_w;
+  std::vector<Vertex>& support = ws.shrink.deg_w_support;
+  if (deg.size() != static_cast<std::size_t>(g.num_vertices())) {
+    deg.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
+  } else {
+    for (const Vertex v : support) deg[static_cast<std::size_t>(v)] = 0.0;
+  }
+  support.assign(w_list.begin(), w_list.end());
   const auto in_w = ws.membership(g.num_vertices());
   in_w->assign(w_list);
   for (Vertex v : w_list) {
@@ -80,7 +88,7 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
   for (double x : cw) big_m = std::max(big_m, 2.0 * x / psi_star + 1.0);
 
   ShrinkOutput out;
-  const std::vector<double> deg_w = degree_measure(g, w_list, wsr);
+  const MeasureRef deg_w = degree_measure(g, w_list, wsr);
   std::vector<double> bnd_scratch;  // boundary measure of the current donor
   std::vector<Vertex> bnd_touched;  // entries of bnd_scratch to re-zero
   const auto bnd_membership = wsr.membership(g.num_vertices());

@@ -15,7 +15,11 @@
 // the buffer (or from a heavy donor, Cor. 17); ReduceBuffer drains
 // leftovers onto below-average classes; finally every class donates a
 // "hitting" part (Cor. 18) that becomes its W0 class, guaranteeing the
-// geometric decrease on W1.
+// geometric decrease on W1.  That extraction peels chunks off its class
+// only until every measure has a chunk holding the share Lemma 30 needs
+// (see extract_hitting_part), so step (5) costs a few splits per class
+// instead of a full partition of it; CutDown and AddTo still partition
+// their donor in full (Cor. 16/17).
 #pragma once
 
 #include "core/parts.hpp"
@@ -38,6 +42,9 @@ struct ShrinkOutput {
 /// other vertices kUncolored).  `pi` is the splitting cost measure.
 /// `preserve` are additional measures the moved parts should stay light in
 /// (the Conclusion's multi-balanced variant feeds the user measures here).
+/// `ws` (optional) lends the markers and the n-sized deg_W buffer
+/// (DecomposeWorkspace::shrink), so the levels of one recursion allocate
+/// neither.
 ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
                          const Coloring& chi, std::span<const double> w,
                          std::span<const double> pi, ISplitter& splitter,

@@ -54,6 +54,15 @@ struct RefineWorkspace {
   std::vector<Vertex> seed;               ///< dirty region handed to round 0
 };
 
+/// shrink_once's deg_W measure (shrink.hpp), kept across recursion levels:
+/// n-sized and nonzero only on `deg_w_support`, the W it was last built
+/// for, so the next level re-zeroes those entries instead of allocating
+/// and zeroing n doubles.  strictify_almost releases it when it returns.
+struct ShrinkWorkspace {
+  std::vector<double> deg_w;
+  std::vector<Vertex> deg_w_support;
+};
+
 class DecomposeWorkspace {
  public:
   // Both out-of-line (workspace.cpp): tree_scratch_ points to a type
@@ -142,13 +151,15 @@ class DecomposeWorkspace {
   MultiSplitTreeScratch& tree_scratch();
 
   /// Heap footprint of every pool this workspace owns (memberships, list
-  /// buffers, lane workspaces recursively, tree slots, refine scratch).
+  /// buffers, lane workspaces recursively, tree slots, refine and shrink
+  /// scratch).
   /// Grows monotonically with use, like the pools themselves; the service
   /// context cache reads it at request checkin to account warm state
   /// against its byte budget.
   std::size_t memory_bytes() const;
 
   RefineWorkspace refine;
+  ShrinkWorkspace shrink;
 
  private:
   friend class MembershipLease;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "core/bisection.hpp"
 #include "core/parts.hpp"
+#include "gen/geometric.hpp"
 #include "gen/grid.hpp"
+#include "gen/mesh.hpp"
 #include "graph/subgraph.hpp"
 #include "separators/prefix_splitter.hpp"
 #include "test_helpers.hpp"
@@ -13,6 +18,34 @@ namespace mmd {
 namespace {
 
 using testing::all_vertices;
+
+/// Lemma 30's certificate: tau_j = m_j(U) * c / Psi(U) with chunk weight
+/// c = target / (max(r,1) + 1), the share of measure j that the argmax
+/// chunk of a full IterativePartition holds.
+std::vector<double> certified_shares(std::span<const Vertex> u, MeasureRef psi,
+                                     double target,
+                                     std::span<const MeasureRef> aux) {
+  const double r = static_cast<double>(std::max<std::size_t>(aux.size(), 1));
+  const double chunk_weight = target / (r + 1.0);
+  std::vector<double> tau;
+  for (const MeasureRef& m : aux)
+    tau.push_back(set_measure(m, u) * chunk_weight / set_measure(psi, u));
+  return tau;
+}
+
+/// Counts split() calls and answers them with a PrefixSplitter.
+class CountingSplitter final : public ISplitter {
+ public:
+  SplitResult split(const SplitRequest& request) override {
+    ++calls;
+    return inner_.split(request);
+  }
+  std::string name() const override { return "counting"; }
+  int calls = 0;
+
+ private:
+  PrefixSplitter inner_;
+};
 
 TEST(IterativePartition, ChunkWeightWindows) {
   const Graph g = make_grid_cube(2, 12);
@@ -84,7 +117,7 @@ TEST(ExtractLightPart, PicksLowShareChunk) {
   EXPECT_LE(set_measure(aux, part.part), 0.25 * norm1(aux));
 }
 
-TEST(ExtractHittingPart, CoversArgmaxChunksAndWindow) {
+TEST(ExtractHittingPart, HoldsCertifiedShareOfEveryMeasureInWindow) {
   const Graph g = make_grid_cube(2, 12);
   const auto vs = all_vertices(g);
   const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
@@ -103,9 +136,150 @@ TEST(ExtractHittingPart, CoversArgmaxChunksAndWindow) {
   // Weight window [target - max/2, target + max/2] for unit weights.
   EXPECT_GE(part.psi_weight, target - 0.5 - 1e-9);
   EXPECT_LE(part.psi_weight, target + 0.5 + 1e-9);
-  // Lemma 30: the part grabs a definite fraction of each auxiliary mass.
-  EXPECT_GE(set_measure(aux1, part.part), norm1(aux1) / 16.0);
-  EXPECT_GE(set_measure(aux2, part.part), norm1(aux2) / 16.0);
+  // Lemma 30: the part holds the certified share tau_j of each measure.
+  const auto tau = certified_shares(vs, w, target, refs);
+  EXPECT_GE(set_measure(aux1, part.part), tau[0]);
+  EXPECT_GE(set_measure(aux2, part.part), tau[1]);
+}
+
+TEST(ExtractHittingPart, CertifiedShareHoldsAcrossClassesAndMeasures) {
+  // Classes of a 3-way recursive bisection of a grid, a triangulated mesh
+  // and a 3-D geometric graph; uniform, all-zero and concentrated measures.
+  // Concentrated measures come in threes, the arity shrink_once passes
+  // (pi, deg_W, boundary): with r = 3 the target is 4c, room for the full
+  // partition's remainder (up to 3c) that a measure concentrated there
+  // picks.  A lone concentrated measure is a known miss of the full path,
+  // shown in CertifiedFirstChunkStopsThePeel.
+  struct Case {
+    const char* name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"grid", make_grid_cube(2, 40)});
+  cases.push_back({"tri-mesh", make_tri_mesh(36, 40)});
+  const int n3 = 3000;
+  cases.push_back(
+      {"geo3", make_random_geometric3(
+                   n3, std::cbrt(10.0 * 3.0 / (4.0 * 3.14159265358979 * n3)),
+                   {}, 29)});
+  for (const Case& c : cases) {
+    const Graph& g = c.g;
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    for (const WeightModel model : {WeightModel::Unit, WeightModel::Uniform}) {
+      const std::vector<double> psi = testing::weights_for(g, model, 37, 4.0);
+      PrefixSplitter splitter;
+      const Coloring chi = recursive_bisection_coloring(g, psi, 3, splitter);
+      for (int cls = 0; cls < 3; ++cls) {
+        std::vector<Vertex> u;
+        for (Vertex v = 0; v < g.num_vertices(); ++v)
+          if (chi[v] == cls) u.push_back(v);
+        // Concentrated measures: a vertex of U at either end of the first
+        // coordinate axis and its neighbors in U.
+        Membership in_u(g.num_vertices());
+        in_u.assign(u);
+        const auto by_x = [&](Vertex a, Vertex b) {
+          return g.coords(a)[0] < g.coords(b)[0];
+        };
+        auto concentrated = [&](bool high) {
+          const Vertex pivot =
+              high ? *std::max_element(u.begin(), u.end(), by_x)
+                   : *std::min_element(u.begin(), u.end(), by_x);
+          std::vector<double> m(n, 0.0);
+          m[static_cast<std::size_t>(pivot)] = 5.0;
+          for (Vertex x : g.neighbors(pivot))
+            if (in_u.contains(x)) m[static_cast<std::size_t>(x)] = 1.0;
+          return m;
+        };
+        const std::vector<double> uniform(n, 1.0);
+        const std::vector<double> zero(n, 0.0);
+        const std::vector<double> hot_hi = concentrated(true);
+        const std::vector<double> hot_lo = concentrated(false);
+        const std::vector<std::vector<MeasureRef>> aux_sets{
+            {uniform},
+            {zero},
+            {uniform, zero, hot_hi},
+            {hot_lo, hot_hi, uniform},
+            {zero, hot_lo, zero},
+            {hot_hi, uniform, hot_lo},
+            {zero, zero, zero}};
+        const double total = set_measure(psi, u);
+        const double wmax = set_measure_max(psi, u);
+        for (const double frac : {0.1, 0.35}) {
+          const double target = frac * total;
+          for (std::size_t s = 0; s < aux_sets.size(); ++s) {
+            const std::string where = std::string(c.name) + " model " +
+                                      std::to_string(static_cast<int>(model)) +
+                                      " class " + std::to_string(cls) +
+                                      " frac " + std::to_string(frac) +
+                                      " set " + std::to_string(s);
+            const auto& aux = aux_sets[s];
+            const auto part =
+                extract_hitting_part(g, u, psi, target, aux, splitter);
+            Membership seen(g.num_vertices());
+            seen.clear();
+            for (Vertex v : part.part) {
+              ASSERT_TRUE(in_u.contains(v)) << where;
+              ASSERT_FALSE(seen.contains(v)) << where;
+              seen.add(v);
+            }
+            const double tol = 1e-9 * (1.0 + total);
+            EXPECT_NEAR(part.psi_weight, set_measure(psi, part.part), tol)
+                << where;
+            EXPECT_GE(part.psi_weight, target - tol) << where;
+            EXPECT_LE(part.psi_weight, target + wmax + tol) << where;
+            const auto tau = certified_shares(u, psi, target, aux);
+            for (std::size_t j = 0; j < aux.size(); ++j)
+              EXPECT_GE(set_measure(aux[j], part.part), tau[j] - tol)
+                  << where << " measure " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExtractHittingPart, CertifiedFirstChunkStopsThePeel) {
+  const Graph g = make_grid_cube(2, 30);
+  const auto vs = all_vertices(g);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const std::vector<double> w(n, 1.0);
+  const double target = 120.0;  // one measure: chunk weight target / 2
+
+  // The full partition splits once per chunk but the remainder.
+  CountingSplitter full;
+  const auto chunks = iterative_partition(g, vs, w, target / 2.0, full);
+  ASSERT_GE(chunks.size(), 6u);
+  EXPECT_EQ(full.calls, static_cast<int>(chunks.size()) - 1);
+
+  // A measure concentrated in the first chunk is certified by it: one
+  // chunk split plus the pad, and the part holds that whole chunk.
+  std::vector<double> first(n, 0.0);
+  for (Vertex v : chunks.front()) first[static_cast<std::size_t>(v)] = 1.0;
+  CountingSplitter early;
+  const std::vector<MeasureRef> hot_first{MeasureRef(first)};
+  const auto part = extract_hitting_part(g, vs, w, target, hot_first, early);
+  EXPECT_EQ(early.calls, 2);
+  EXPECT_DOUBLE_EQ(set_measure(first, part.part), norm1(first));
+  EXPECT_GE(part.psi_weight, target - 1e-9);
+  EXPECT_LE(part.psi_weight, target + 1.0 + 1e-9);
+
+  // A measure concentrated in the remainder is never certified by a peeled
+  // chunk: the peel runs the full partition's splits, then pads.
+  std::vector<double> last(n, 0.0);
+  for (Vertex v : chunks.back()) last[static_cast<std::size_t>(v)] = 1.0;
+  CountingSplitter late;
+  const std::vector<MeasureRef> hot_last{MeasureRef(last)};
+  const auto tail = extract_hitting_part(g, vs, w, target, hot_last, late);
+  EXPECT_EQ(late.calls, full.calls + 1);
+  EXPECT_GE(tail.psi_weight, target - 1e-9);
+  EXPECT_LE(tail.psi_weight, target + 1.0 + 1e-9);
+  // Known miss of the full path: the remainder weighs 3c = 180, more than
+  // the target 2c = 120, so the weight guard skips it and the part misses
+  // the certified share of a measure concentrated there.
+  const double remainder_weight = set_measure(w, chunks.back());
+  EXPECT_GT(remainder_weight, target);
+  const auto tau = certified_shares(vs, w, target, hot_last);
+  EXPECT_LT(set_measure(last, tail.part), tau[0]);
 }
 
 TEST(ExtractHittingPart, TakesEverythingWhenTargetExceedsTotal) {
@@ -129,16 +303,28 @@ TEST(BoundaryMeasureOf, MatchesCutDefinition) {
   const Graph g = testing::two_triangles();
   const std::vector<Vertex> u{0, 1, 2};
   std::vector<double> bnd;
-  boundary_measure_of(g, u, bnd);
+  std::vector<Vertex> touched;
+  Membership scratch(g.num_vertices());
+  boundary_measure_of(g, u, bnd, touched, scratch);
   // Only vertex 2 touches the bridge out of U.
   EXPECT_DOUBLE_EQ(bnd[2], 10.0);
   EXPECT_DOUBLE_EQ(bnd[0], 0.0);
   EXPECT_DOUBLE_EQ(bnd[1], 0.0);
   EXPECT_DOUBLE_EQ(bnd[3], 0.0);  // outside U: zero by convention
+  EXPECT_EQ(touched, u);
   // Sum over U equals the boundary cost of U.
   Membership in_u(g.num_vertices());
   in_u.assign(u);
   EXPECT_DOUBLE_EQ(set_measure(bnd, u), boundary_cost(g, u, in_u));
+
+  // The next call re-zeroes the previous U's entries.
+  const std::vector<Vertex> u2{3, 4};
+  boundary_measure_of(g, u2, bnd, touched, scratch);
+  EXPECT_DOUBLE_EQ(bnd[2], 0.0);
+  EXPECT_DOUBLE_EQ(bnd[3], 10.0 + 6.0);  // bridge and 3-5
+  EXPECT_DOUBLE_EQ(bnd[4], 5.0);         // 4-5
+  EXPECT_DOUBLE_EQ(bnd[5], 0.0);
+  EXPECT_EQ(touched, u2);
 }
 
 }  // namespace

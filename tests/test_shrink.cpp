@@ -4,6 +4,7 @@
 
 #include "core/measures.hpp"
 #include "core/shrink.hpp"
+#include "core/workspace.hpp"
 #include "gen/grid.hpp"
 #include "graph/subgraph.hpp"
 #include "separators/prefix_splitter.hpp"
@@ -118,6 +119,53 @@ TEST(Shrink, WorksOnSubsetsOfV) {
     chi[w_list[i]] = static_cast<std::int32_t>(i % static_cast<std::size_t>(f.k));
   const auto out = shrink_once(f.g, w_list, chi, f.w, f.pi, f.splitter);
   EXPECT_EQ(out.w0.size() + out.w1.size(), w_list.size());
+}
+
+TEST(Shrink, WarmWorkspaceAnswersAsAFreshOne) {
+  // The deg_W buffer persists in the workspace across levels and calls;
+  // each call re-zeroes only the previous W's entries.  W sets that are
+  // not nested (left 3/4, then right 3/4) must answer exactly as a fresh
+  // workspace does, and the buffer holds deg_W on W and 0 elsewhere.
+  ShrinkFixture f;
+  auto slab = [&](bool left) {
+    std::vector<Vertex> w_list;
+    for (Vertex v = 0; v < f.g.num_vertices(); ++v)
+      if (left ? f.g.coords(v)[1] < 15 : f.g.coords(v)[1] >= 5)
+        w_list.push_back(v);
+    return w_list;
+  };
+  auto striped = [&](std::span<const Vertex> w_list) {
+    Coloring chi(f.k, f.g.num_vertices());
+    for (std::size_t i = 0; i < w_list.size(); ++i)
+      chi[w_list[i]] = static_cast<std::int32_t>(i % static_cast<std::size_t>(f.k));
+    return chi;
+  };
+  DecomposeWorkspace warm;
+  shrink_once(f.g, f.vs, f.weakly_balanced(), f.w, f.pi, f.splitter, {}, {},
+              &warm);
+  for (const bool left : {true, false}) {
+    const std::vector<Vertex> w_list = slab(left);
+    const Coloring chi = striped(w_list);
+    const auto got =
+        shrink_once(f.g, w_list, chi, f.w, f.pi, f.splitter, {}, {}, &warm);
+    DecomposeWorkspace fresh;
+    const auto want =
+        shrink_once(f.g, w_list, chi, f.w, f.pi, f.splitter, {}, {}, &fresh);
+    EXPECT_EQ(got.chi0.color, want.chi0.color);
+    EXPECT_EQ(got.chi1.color, want.chi1.color);
+    EXPECT_EQ(got.w0, want.w0);
+    EXPECT_EQ(got.w1, want.w1);
+    EXPECT_EQ(got.cut_cost, want.cut_cost);
+
+    Membership in_w(f.g.num_vertices());
+    in_w.assign(w_list);
+    for (Vertex v = 0; v < f.g.num_vertices(); ++v) {
+      double deg = 0.0;
+      if (in_w.contains(v))
+        for (Vertex u : f.g.neighbors(v)) deg += in_w.contains(u) ? 1.0 : 0.0;
+      EXPECT_EQ(warm.shrink.deg_w[static_cast<std::size_t>(v)], deg) << v;
+    }
+  }
 }
 
 TEST(Shrink, RejectsBadParameters) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 
+#include "core/bisection.hpp"
 #include "core/decompose.hpp"
 #include "core/measures.hpp"
 #include "core/multibalance.hpp"
@@ -215,6 +217,102 @@ TEST(StrictifyThreads, GridCompositeBitIdenticalAcrossPools) {
   expect_bit_identical_across_pools(grid());
 }
 
+/// Counts split() calls across a splitter and all of its lanes, answering
+/// them with the wrapped splitter and its lanes.
+class CountingLaneSplitter final : public ISplitter {
+ public:
+  explicit CountingLaneSplitter(
+      std::unique_ptr<ISplitter> inner,
+      std::shared_ptr<std::atomic<long>> calls =
+          std::make_shared<std::atomic<long>>(0))
+      : inner_(std::move(inner)), calls_(std::move(calls)) {}
+  SplitResult split(const SplitRequest& request) override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return inner_->split(request);
+  }
+  std::string name() const override { return "counting"; }
+  std::unique_ptr<ISplitter> make_lane() override {
+    std::unique_ptr<ISplitter> lane = inner_->make_lane();
+    if (lane == nullptr) return nullptr;
+    return std::make_unique<CountingLaneSplitter>(std::move(lane), calls_);
+  }
+  long calls() const { return calls_->load(); }
+
+ private:
+  std::unique_ptr<ISplitter> inner_;
+  std::shared_ptr<std::atomic<long>> calls_;
+};
+
+TEST(StrictifyThreads, CertifiedExtractionsSplitAlikeAtEveryPoolSize) {
+  // Each class's Corollary 18 extraction stops peeling once Lemma 30's
+  // share is certified, a decision made from that class alone: the
+  // fanned-out extractions split exactly as often as the serial loop and
+  // answer bit for bit the same, with fewer splits than the chunk splits
+  // of the full partitions alone.
+  const ThreadInstance inst = weighted_tri_mesh();
+  const int k = 7;
+  PrefixSplitter balance_splitter;
+  const Coloring chi =
+      recursive_bisection_coloring(inst.g, inst.w, k, balance_splitter);
+  const auto all = testing::all_vertices(inst.g);
+
+  struct Counted {
+    ShrinkOutput shrink;
+    long shrink_calls = 0;
+    Coloring strict;
+    long strict_calls = 0;
+  };
+  const auto run = [&](ThreadPool* pool) {
+    CountingLaneSplitter splitter(
+        make_default_splitter(inst.g, SplitterKind::Auto));
+    splitter.set_thread_pool(pool);
+    DecomposeWorkspace ws;
+    Counted c;
+    c.shrink = shrink_once(inst.g, all, chi, inst.w, inst.pi, splitter, {},
+                           {}, &ws);
+    c.shrink_calls = splitter.calls();
+    c.strict = strictify_almost(inst.g, chi, inst.w, inst.pi, splitter, {},
+                                nullptr, {}, &ws);
+    c.strict_calls = splitter.calls() - c.shrink_calls;
+    return c;
+  };
+  const Counted serial = run(nullptr);
+
+  // The bisection's classes weigh about Psi* each, so steps (2)-(4) move
+  // nothing: step (5) extracts from chi's own classes and makes every
+  // split of the shrink step.
+  long full_chunk_splits = 0;
+  const double chunk_weight =
+      ShrinkParams{}.eps * set_measure(inst.w, all) / k / 4.0;  // r = 3
+  for (int i = 0; i < k; ++i) {
+    std::vector<Vertex> cls;
+    for (Vertex v : all)
+      if (chi[v] == i) cls.push_back(v);
+    for (Vertex v : cls)
+      ASSERT_TRUE(serial.shrink.chi0[v] == i || serial.shrink.chi1[v] == i);
+    CountingLaneSplitter counter(
+        make_default_splitter(inst.g, SplitterKind::Auto));
+    iterative_partition(inst.g, cls, inst.w, chunk_weight, counter);
+    full_chunk_splits += counter.calls();
+  }
+  EXPECT_LT(serial.shrink_calls, full_chunk_splits);
+  EXPECT_GT(serial.shrink_calls, 0);
+
+  for (const int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    const Counted got = run(&pool);
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(got.shrink_calls, serial.shrink_calls) << where;
+    EXPECT_EQ(got.strict_calls, serial.strict_calls) << where;
+    EXPECT_EQ(got.shrink.chi0.color, serial.shrink.chi0.color) << where;
+    EXPECT_EQ(got.shrink.chi1.color, serial.shrink.chi1.color) << where;
+    EXPECT_EQ(got.shrink.w0, serial.shrink.w0) << where;
+    EXPECT_EQ(got.shrink.w1, serial.shrink.w1) << where;
+    EXPECT_EQ(got.shrink.cut_cost, serial.shrink.cut_cost) << where;
+    EXPECT_EQ(got.strict.color, serial.strict.color) << where;
+  }
+}
+
 TEST(StrictifyThreads, WarmLanesStayBitIdenticalAcrossCalls) {
   // The second call reuses the lanes and lane workspaces the first one
   // materialized; warm scratch must not leak into the answer.
@@ -234,6 +332,9 @@ TEST(StrictifyThreads, WarmLanesStayBitIdenticalAcrossCalls) {
                                           *splitter, {}, &stats, {}, &ws);
     EXPECT_EQ(out.color, serial.strict.color) << "call " << call;
     EXPECT_EQ(stats.cut_cost, serial.stats.cut_cost) << "call " << call;
+    // The deg_W buffer lives only while a call's levels run.
+    EXPECT_EQ(ws.shrink.deg_w.capacity(), 0u) << "call " << call;
+    EXPECT_EQ(ws.shrink.deg_w_support.capacity(), 0u) << "call " << call;
   }
 }
 

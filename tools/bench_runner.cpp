@@ -58,6 +58,7 @@
 #include "core/context.hpp"
 #include "core/decompose.hpp"
 #include "core/fast.hpp"
+#include "core/measures.hpp"
 #include "core/refine.hpp"
 #include "core/workspace.hpp"
 #include "gen/geometric.hpp"
@@ -88,6 +89,7 @@ struct Row {
   std::size_t peak_rss = 0;     // stamped at push time (monotone)
   long long m = 0;              // edge count (E12 rows)
   std::size_t graph_bytes = 0;  // Graph::memory_bytes (E12 rows)
+  double bound_ratio = -1.0;    // max_boundary / Theorem 4's b_max (E13 rows)
 };
 
 std::vector<Row> g_rows;
@@ -409,6 +411,9 @@ void bench_e12(bool smoke) {
 //   * "orb"      — orthogonal recursive coordinate bisection, the classical
 //     mesh-partitioner baseline column (requires coordinates, so the METIS
 //     round-trip row — which drops them — has no orb line).
+// Every row also reports bound_ratio = max_boundary / b_max, Theorem 4's
+// bound skeleton at the default p and sigma_p, so rows of different
+// instances read on one scale.
 
 void bench_e13_instance(const char* config, const Graph& g,
                         const std::vector<double>& w, int k, int reps) {
@@ -418,6 +423,9 @@ void bench_e13_instance(const char* config, const Graph& g,
   };
   constexpr ModeSpec kModes[] = {{"default", SweepMode::BetterOfTwo},
                                  {"window", SweepMode::WindowMin}};
+  const DecomposeOptions defaults;
+  const double b_max =
+      theorem4_bound(g, defaults.p, default_sigma_p(g, defaults.p), k).b_max;
   for (const ModeSpec& m : kModes) {
     DecomposeOptions opt;
     opt.k = k;
@@ -429,6 +437,7 @@ void bench_e13_instance(const char* config, const Graph& g,
       row.ms = std::min(row.ms, t.seconds() * 1e3);
       row.max_boundary = res.max_boundary;
     }
+    row.bound_ratio = row.max_boundary / b_max;
     push_row(row);
   }
   if (g.has_coords()) {
@@ -439,6 +448,7 @@ void bench_e13_instance(const char* config, const Graph& g,
       row.ms = std::min(row.ms, t.seconds() * 1e3);
       row.max_boundary = max_boundary_cost(g, chi);
     }
+    row.bound_ratio = row.max_boundary / b_max;
     push_row(row);
   }
 }
@@ -571,6 +581,8 @@ int main(int argc, char** argv) {
     const Row& r = g_rows[i];
     std::string extra =
         r.moves >= 0 ? ", \"moves\": " + std::to_string(r.moves) : "";
+    if (r.bound_ratio >= 0.0)
+      extra += ", \"bound_ratio\": " + std::to_string(r.bound_ratio);
     if (r.m > 0) {
       extra += ", \"m\": " + std::to_string(r.m);
       extra += ", \"graph_bytes\": " + std::to_string(r.graph_bytes);
