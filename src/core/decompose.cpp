@@ -331,9 +331,8 @@ std::optional<DecomposeResult> try_incremental_repartition(
   Timer phase_timer;
   MinmaxRefineOptions refine = options.refine;
   refine.exec = options.exec;
-  refine.seeded = true;
-  refine.seed = std::span<const Vertex>(rw.seed);
-  out.refine_stats = minmax_refine(g, out.coloring, w, refine, &rw);
+  out.refine_stats = minmax_refine(g, out.coloring, w, refine, &rw,
+                                   std::span<const Vertex>(rw.seed));
   const double refine_seconds = phase_timer.seconds();
   const PhaseSnapshot last = snapshot(g, w, out.coloring);
   out.phase_refine = last.report;

@@ -33,14 +33,9 @@ double splitting_cost(std::span<const double> pi,
 std::vector<double> bichromatic_cost_measure(const Graph& g, const Coloring& chi) {
   MMD_REQUIRE(static_cast<Vertex>(chi.color.size()) == g.num_vertices(),
               "coloring arity mismatch");
-  std::vector<double> psi(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    if (chi[u] == chi[v]) continue;
-    const double c = g.edge_cost(e);
-    psi[static_cast<std::size_t>(u)] += c;
-    psi[static_cast<std::size_t>(v)] += c;
-  }
+  std::vector<double> psi(static_cast<std::size_t>(g.num_vertices()));
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    psi[static_cast<std::size_t>(v)] = boundary_cost_of(g, chi, v);
   return psi;
 }
 

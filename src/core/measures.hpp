@@ -29,7 +29,9 @@ std::vector<double> splitting_cost_measure(const Graph& g, double p,
 double splitting_cost(std::span<const double> pi,
                       std::span<const Vertex> w_list, double p);
 
-/// Proposition 7's Psi: per-vertex cost of chi-bichromatic incident edges.
+/// Proposition 7's Psi: per-vertex cost of chi-bichromatic incident edges,
+/// Psi(v) = boundary_cost_of(g, chi, v), so class_measure(Psi, chi) is
+/// class_boundary_costs(g, chi) bit for bit.
 /// Identities used by the proof (and asserted in tests):
 ///   ||Psi chi^-1||_inf = ||d chi^-1||_inf,  ||Psi||_avg = ||d chi^-1||_avg,
 ///   ||Psi||_inf <= Delta_c.

@@ -188,22 +188,4 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
   return out;
 }
 
-void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
-                         std::vector<double>& scratch,
-                         std::vector<Vertex>& touched, Membership& in_u) {
-  if (scratch.size() != static_cast<std::size_t>(g.num_vertices())) {
-    scratch.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  } else {
-    for (const Vertex v : touched) scratch[static_cast<std::size_t>(v)] = 0.0;
-  }
-  touched.assign(u_list.begin(), u_list.end());
-  in_u.assign(u_list);
-  for (Vertex v : u_list) {
-    double s = 0.0;
-    for (const HalfEdge& h : g.incidence(v))
-      if (!in_u.contains(h.to)) s += h.cost;
-    scratch[static_cast<std::size_t>(v)] = s;
-  }
-}
-
 }  // namespace mmd

@@ -17,6 +17,12 @@
 // The boundary cost d(X) is handled by passing the boundary measure
 // v -> c(delta(v) cap delta(U)) as one of the auxiliary measures (the
 // corollaries' Phi(r) trick).
+//
+// The aux contract: both extractions read every auxiliary measure only at
+// vertices of U, so a caller need only fill a measure on U and may leave
+// anything (stale values of an earlier U, even NaN) everywhere else.
+// shrink_once relies on this to reuse its n-sized deg_W and boundary
+// buffers across classes and recursion levels without re-zeroing them.
 #pragma once
 
 #include "core/multi_split.hpp"
@@ -71,14 +77,5 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
                                    std::span<const MeasureRef> aux,
                                    ISplitter& splitter,
                                    DecomposeWorkspace* ws = nullptr);
-
-/// The boundary measure of U: scratch[v] = c(delta(v) cap delta(U)) for v
-/// in U, 0 elsewhere.  `scratch` is sized to n on first use; after that
-/// only the entries listed in `touched` -- the u_list of the previous call
-/// on this scratch -- are re-zeroed, and `touched` becomes the current
-/// u_list.  `in_u` is clobbered.  O(|U| deg) per call instead of O(n).
-void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
-                         std::vector<double>& scratch,
-                         std::vector<Vertex>& touched, Membership& in_u);
 
 }  // namespace mmd

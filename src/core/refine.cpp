@@ -17,9 +17,9 @@ class Refiner {
  public:
   Refiner(const Graph& g, Coloring& chi, std::span<const double> w,
           const MinmaxRefineOptions& options, RefineWorkspace& ws,
-          MinmaxRefineStats& stats)
+          MinmaxRefineStats& stats, std::optional<std::span<const Vertex>> seed)
       : g_(g), chi_(chi), w_(w), opt_(options), ws_(ws), stats_(stats),
-        n_(g.num_vertices()), k_(chi.k) {
+        seed_(seed), n_(g.num_vertices()), k_(chi.k) {
     grow(ws_.bc, k_);
     grow(ws_.cw, k_);
     grow(ws_.toward, k_);
@@ -79,7 +79,7 @@ class Refiner {
         // boundary at the previous round's start or a neighbor moved in
         // between — so the previous seeds plus the dirtied vertices cover
         // the new boundary, and the O(n + m) full scan is needed once.
-        const bool seeded_round0 = round == 0 && opt_.seeded;
+        const bool seeded_round0 = round == 0 && seed_.has_value();
         if (!(have_cands ? seed_from_candidates()
                          : seeded_round0 ? seed_from_span() : seed_full()))
           break;
@@ -151,14 +151,8 @@ class Refiner {
   }
 
   void compute_boundary_costs() {
-    std::fill_n(ws_.bc.begin(), k_, 0.0);
-    for (Vertex v = 0; v < n_; ++v) {
-      const std::int32_t c = chi_[v];
-      double cross = 0.0;
-      for (const HalfEdge& h : g_.incidence(v))
-        if (chi_[h.to] != c) cross += h.cost;
-      ws_.bc[static_cast<std::size_t>(c)] += cross;
-    }
+    class_boundary_costs(g_, chi_,
+                         std::span<double>(ws_.bc).first(static_cast<std::size_t>(k_)));
   }
 
   void recompute_max() {
@@ -208,14 +202,14 @@ class Refiner {
     return !ws_.queue.empty();
   }
 
-  /// Seeded round 0 (MinmaxRefineOptions::seeded): visit only the boundary
+  /// Seeded round 0 (minmax_refine's seed): visit only the boundary
   /// members of the caller-supplied span.  Duplicates collapse via the
   /// epoch stamp; the sort restores the sweep's id order.  An empty seed
   /// returns false — the caller asked for "refine nothing".
   bool seed_from_span() {
     ws_.queue.clear();
     bump_epoch();
-    for (const Vertex v : opt_.seed)
+    for (const Vertex v : *seed_)
       if (is_boundary(v)) push(v);
     std::sort(ws_.queue.begin(), ws_.queue.end());
     return !ws_.queue.empty();
@@ -327,6 +321,7 @@ class Refiner {
   const MinmaxRefineOptions& opt_;
   RefineWorkspace& ws_;
   MinmaxRefineStats& stats_;
+  const std::optional<std::span<const Vertex>> seed_;
   const Vertex n_;
   const int k_;
   double avg_ = 0.0, slack_ = 0.0;
@@ -340,7 +335,8 @@ class Refiner {
 MinmaxRefineStats minmax_refine(const Graph& g, Coloring& chi,
                                 std::span<const double> w,
                                 const MinmaxRefineOptions& options,
-                                RefineWorkspace* ws) {
+                                RefineWorkspace* ws,
+                                std::optional<std::span<const Vertex>> seed) {
   validate_coloring(g, chi, /*require_total=*/true);
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
               "weight arity mismatch");
@@ -348,7 +344,7 @@ MinmaxRefineStats minmax_refine(const Graph& g, Coloring& chi,
   RefineWorkspace local;
   RefineWorkspace& scratch = ws != nullptr ? *ws : local;
 
-  Refiner refiner(g, chi, w, options, scratch, stats);
+  Refiner refiner(g, chi, w, options, scratch, stats, seed);
   stats.max_boundary_before = refiner.cur_max();
   if (chi.k <= 1) {
     stats.max_boundary_after = stats.max_boundary_before;

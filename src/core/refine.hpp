@@ -23,6 +23,8 @@
 // to a test-local sweep with the same acceptance arithmetic.
 #pragma once
 
+#include <optional>
+
 #include "core/workspace.hpp"
 #include "graph/coloring.hpp"
 #include "util/exec_control.hpp"
@@ -41,16 +43,6 @@ struct MinmaxRefineOptions {
   /// throws.  decompose() copies its own exec here; standalone callers may
   /// set it directly.
   ExecControl exec;
-  /// Seeded mode: round 0 visits only the boundary members of `seed`
-  /// instead of the full cut.  Later rounds re-feed from accepted moves as
-  /// usual, so the climb stays localized to the region `seed` can reach.
-  /// With seeded == true and an empty span the round-0 queue is empty and
-  /// the call is a no-op — "nothing changed" must not trigger a full
-  /// sweep.
-  /// `seed` is borrowed; duplicates are deduplicated, order is irrelevant
-  /// (the queue is sorted by id before the round runs).
-  bool seeded = false;
-  std::span<const Vertex> seed;
 };
 
 /// Work and progress counters of one minmax_refine call.
@@ -72,14 +64,24 @@ struct MinmaxRefineStats {
 /// \param g       host graph
 /// \param chi     total k-coloring, refined in place
 /// \param w       vertex weights the balance window is measured against
-/// \param options round/slack/seed knobs
+/// \param options round/slack/exec knobs
 /// \param ws      optional scratch; when non-null its buffers are reused
 ///                (and grown on demand), so steady-state calls perform no
 ///                heap allocation
+/// \param seed    seeded mode (the incremental repartition path): round 0
+///                visits only the boundary members of `*seed` instead of
+///                the full cut.  Later rounds re-feed from accepted moves
+///                as usual, so the climb stays localized to the region the
+///                seed can reach.  An empty span leaves the round-0 queue
+///                empty and the call is a no-op — "nothing changed" must
+///                not trigger a full sweep.  The span is borrowed;
+///                duplicates are deduplicated, order is irrelevant (the
+///                queue is sorted by id before the round runs).  nullopt
+///                (default) seeds round 0 from the full cut.
 /// \return move/round/boundary statistics of this call
-MinmaxRefineStats minmax_refine(const Graph& g, Coloring& chi,
-                                std::span<const double> w,
-                                const MinmaxRefineOptions& options = {},
-                                RefineWorkspace* ws = nullptr);
+MinmaxRefineStats minmax_refine(
+    const Graph& g, Coloring& chi, std::span<const double> w,
+    const MinmaxRefineOptions& options = {}, RefineWorkspace* ws = nullptr,
+    std::optional<std::span<const Vertex>> seed = std::nullopt);
 
 }  // namespace mmd

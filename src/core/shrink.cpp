@@ -12,44 +12,17 @@ namespace mmd {
 namespace {
 
 /// deg_W measure: degree of v inside G[W] (Section 5 uses it to force the
-/// geometric size decrease of condition (c)), built in the workspace's
-/// n-sized buffer: only the previous W's entries are re-zeroed.
+/// geometric size decrease of condition (c)), written on W only; `in_w`
+/// colors exactly W.
 MeasureRef degree_measure(const Graph& g, std::span<const Vertex> w_list,
-                          DecomposeWorkspace& ws) {
-  std::vector<double>& deg = ws.shrink.deg_w;
-  std::vector<Vertex>& support = ws.shrink.deg_w_support;
-  if (deg.size() != static_cast<std::size_t>(g.num_vertices())) {
-    deg.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  } else {
-    for (const Vertex v : support) deg[static_cast<std::size_t>(v)] = 0.0;
-  }
-  support.assign(w_list.begin(), w_list.end());
-  const auto in_w = ws.membership(g.num_vertices());
-  in_w->assign(w_list);
+                          const Coloring& in_w, std::vector<double>& deg) {
   for (Vertex v : w_list) {
     int d = 0;
     for (Vertex u : g.neighbors_unchecked(v))
-      if (in_w->contains(u)) ++d;
+      if (in_w[u] != kUncolored) ++d;
     deg[static_cast<std::size_t>(v)] = d;
   }
   return deg;
-}
-
-/// Boundary measures of all classes in one pass: out[v] = c(delta(v) cap
-/// delta(U)) for v in W, U the class of v under `cls_of` (which colors
-/// exactly W).  The classes are disjoint, so each entry is the sum the
-/// per-class boundary_measure_of forms, over the same edges in the same
-/// order; entries outside W are left as they are.
-void class_boundary_measures(const Graph& g, std::span<const Vertex> w_list,
-                             const Coloring& cls_of, std::vector<double>& out) {
-  out.resize(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  for (Vertex v : w_list) {
-    const std::int32_t c = cls_of[v];
-    double s = 0.0;
-    for (const HalfEdge& h : g.incidence(v))
-      if (cls_of[h.to] != c) s += h.cost;
-    out[static_cast<std::size_t>(v)] = s;
-  }
 }
 
 }  // namespace
@@ -71,12 +44,17 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
   MMD_REQUIRE(psi_star > 0.0, "shrink needs positive total weight");
   const double eps = params.eps;
 
-  // Tentative classes of chi~ restricted to W.
+  // Tentative classes of chi~ restricted to W.  out.chi1 is the live class
+  // array: a vertex of W holds its current class, or kUncolored while its
+  // part waits in the buffer; vertices outside W are kUncolored.
+  ShrinkOutput out;
+  out.chi1 = Coloring(k, g.num_vertices());
   std::vector<std::vector<Vertex>> cls(static_cast<std::size_t>(k));
   for (Vertex v : w_list) {
     const std::int32_t c = chi[v];
     MMD_REQUIRE(c >= 0 && c < k, "chi must color exactly W");
     cls[static_cast<std::size_t>(c)].push_back(v);
+    out.chi1[v] = c;
   }
   std::vector<double> cw(static_cast<std::size_t>(k), 0.0);
   for (int i = 0; i < k; ++i) cw[static_cast<std::size_t>(i)] = set_measure(w, cls[static_cast<std::size_t>(i)]);
@@ -87,37 +65,34 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
   double big_m = kWeakBalanceM;
   for (double x : cw) big_m = std::max(big_m, 2.0 * x / psi_star + 1.0);
 
-  ShrinkOutput out;
-  const MeasureRef deg_w = degree_measure(g, w_list, wsr);
-  std::vector<double> bnd_scratch;  // boundary measure of the current donor
-  std::vector<Vertex> bnd_touched;  // entries of bnd_scratch to re-zero
-  const auto bnd_membership = wsr.membership(g.num_vertices());
-
-  const auto removed_lease = wsr.membership(g.num_vertices());
-  Membership& removed = *removed_lease;
   auto erase_part = [&](int color, std::span<const Vertex> part) {
-    removed.assign(part);
-    auto& c = cls[static_cast<std::size_t>(color)];
-    c = set_difference(c, removed);
-    const double pw = set_measure(w, part);
-    cw[static_cast<std::size_t>(color)] -= pw;
-    return pw;
+    for (Vertex v : part) out.chi1[v] = kUncolored;
+    std::erase_if(cls[static_cast<std::size_t>(color)],
+                  [&](Vertex v) { return out.chi1[v] != color; });
+    cw[static_cast<std::size_t>(color)] -= set_measure(w, part);
   };
-  auto paint_part = [&](int color, std::vector<Vertex> part) {
-    const double pw = set_measure(w, part);
+  auto paint_part = [&](int color, std::span<const Vertex> part) {
+    for (Vertex v : part) out.chi1[v] = color;
     auto& c = cls[static_cast<std::size_t>(color)];
     c.insert(c.end(), part.begin(), part.end());
-    cw[static_cast<std::size_t>(color)] += pw;
+    cw[static_cast<std::size_t>(color)] += set_measure(w, part);
   };
 
   // The three extraction measures of Section 5: Phi(1) = pi, Phi(2) =
-  // deg_W, and the boundary measure of the donor class (Cor. 16-18's
-  // Phi(r)).
-  auto extraction_measures = [&](std::span<const Vertex> donor) {
-    boundary_measure_of(g, donor, bnd_scratch, bnd_touched, *bnd_membership);
-    std::vector<MeasureRef> ms{pi, deg_w, bnd_scratch};
-    ms.insert(ms.end(), preserve.begin(), preserve.end());
-    return ms;
+  // deg_W, and the boundary measure of the class a part is extracted from
+  // (Cor. 16-18's Phi(r)), c(delta(v) cap delta(U)) for v in its class U.
+  // Both n-sized buffers live in the workspace and are written only where
+  // the extractions read them: deg_W on W, the boundary measure on the
+  // classes about to be extracted from.
+  ShrinkWorkspace& sws = wsr.shrink;
+  sws.deg_w.resize(static_cast<std::size_t>(g.num_vertices()));
+  sws.bnd.resize(static_cast<std::size_t>(g.num_vertices()));
+  std::vector<MeasureRef> aux{pi, degree_measure(g, w_list, out.chi1, sws.deg_w),
+                              sws.bnd};
+  aux.insert(aux.end(), preserve.begin(), preserve.end());
+  auto boundary_measure = [&](std::span<const Vertex> vs) {
+    for (Vertex v : vs)
+      sws.bnd[static_cast<std::size_t>(v)] = boundary_cost_of(g, out.chi1, v);
   };
 
   std::vector<std::vector<Vertex>> buffer;
@@ -128,7 +103,7 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
     while (cw[static_cast<std::size_t>(i)] > big_m / 2.0 * psi_star) {
       MMD_REQUIRE(++guard < 4 * static_cast<int>(w_list.size()) + 16,
                   "CutDown diverged");
-      const auto aux = extraction_measures(cls[static_cast<std::size_t>(i)]);
+      boundary_measure(cls[static_cast<std::size_t>(i)]);
       ExtractedPart x = extract_light_part(g, cls[static_cast<std::size_t>(i)], w,
                                            eps * psi_star, aux, splitter, &wsr);
       out.cut_cost += x.cut_cost;
@@ -154,7 +129,7 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
             std::max_element(cw.begin(), cw.end()) - cw.begin());
         MMD_REQUIRE(donor != j && cw[static_cast<std::size_t>(donor)] >= psi_star / 2.0,
                     "AddTo found no donor class");
-        const auto aux = extraction_measures(cls[static_cast<std::size_t>(donor)]);
+        boundary_measure(cls[static_cast<std::size_t>(donor)]);
         ExtractedPart x = extract_light_part(g, cls[static_cast<std::size_t>(donor)],
                                              w, eps * psi_star, aux, splitter,
                                              &wsr);
@@ -163,7 +138,7 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
         erase_part(donor, x.part);
         part = std::move(x.part);
       }
-      paint_part(j, std::move(part));
+      paint_part(j, part);
     }
   }
 
@@ -171,22 +146,16 @@ ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
   while (!buffer.empty()) {
     const int j = static_cast<int>(std::min_element(cw.begin(), cw.end()) -
                                    cw.begin());
-    paint_part(j, std::move(buffer.back()));
+    paint_part(j, buffer.back());
     buffer.pop_back();
   }
 
-  // Step (5): per-class Corollary 18 extraction -> chi0 on W0.  chi1
-  // starts as the classes on all of W; the merge below moves each
+  // Step (5): per-class Corollary 18 extraction -> chi0 on W0.  The
+  // buffer is empty, so chi1 colors all of W and one pass writes the
+  // boundary measures of all k classes; the merge below moves each
   // extracted part over to chi0.
   out.chi0 = Coloring(k, g.num_vertices());
-  out.chi1 = Coloring(k, g.num_vertices());
-  for (int i = 0; i < k; ++i)
-    for (Vertex v : cls[static_cast<std::size_t>(i)]) out.chi1[v] = i;
-  // Every entry of W is rewritten, which covers the donor entries steps
-  // (2)-(3) left in the scratch; each extraction reads only its class.
-  class_boundary_measures(g, w_list, out.chi1, bnd_scratch);
-  std::vector<MeasureRef> aux{pi, deg_w, bnd_scratch};
-  aux.insert(aux.end(), preserve.begin(), preserve.end());
+  boundary_measure(w_list);
 
   // The extractions are independent, so they fan out on the splitter's
   // pool as L = min(pool threads, k) tasks — unless this call already runs

@@ -42,9 +42,13 @@ struct ShrinkOutput {
 /// other vertices kUncolored).  `pi` is the splitting cost measure.
 /// `preserve` are additional measures the moved parts should stay light in
 /// (the Conclusion's multi-balanced variant feeds the user measures here).
-/// `ws` (optional) lends the markers and the n-sized deg_W buffer
+/// `ws` (optional) lends the extractions' markers and the two n-sized
+/// measure buffers, deg_W and the boundary measure
 /// (DecomposeWorkspace::shrink), so the levels of one recursion allocate
-/// neither.
+/// none of them.  chi1 is the live class array throughout: parts waiting
+/// in the buffer are kUncolored in it, so one per-vertex sum
+/// (boundary_cost_of) gives the boundary measure of a donor class in steps
+/// (2)-(3) and of all classes at once in step (5).
 ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
                          const Coloring& chi, std::span<const double> w,
                          std::span<const double> pi, ISplitter& splitter,

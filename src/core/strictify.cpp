@@ -79,8 +79,9 @@ Coloring strictify_almost(const Graph& g, const Coloring& chi,
 
   Rec rec{g, w, pi, splitter, params, st, preserve, wsr};
   Coloring out = rec.run(all, chi, 0);
-  // shrink_once's deg_W buffer serves this call's levels only; a warm
-  // context would otherwise hold 12 bytes per vertex between calls.
+  // shrink_once's deg_W and boundary-measure buffers serve this call's
+  // levels only; a warm context would otherwise hold 16 bytes per vertex
+  // between calls.
   wsr.shrink = {};
   validate_coloring(g, out, /*require_total=*/true);
   return out;

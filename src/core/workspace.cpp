@@ -43,8 +43,7 @@ std::size_t DecomposeWorkspace::memory_bytes() const {
             refine.seed.capacity()) *
            sizeof(Vertex);
   total += refine.class_dirty.capacity() * sizeof(std::uint8_t);
-  total += shrink.deg_w.capacity() * sizeof(double) +
-           shrink.deg_w_support.capacity() * sizeof(Vertex);
+  total += (shrink.deg_w.capacity() + shrink.bnd.capacity()) * sizeof(double);
   return total;
 }
 

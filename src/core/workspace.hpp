@@ -54,13 +54,16 @@ struct RefineWorkspace {
   std::vector<Vertex> seed;               ///< dirty region handed to round 0
 };
 
-/// shrink_once's deg_W measure (shrink.hpp), kept across recursion levels:
-/// n-sized and nonzero only on `deg_w_support`, the W it was last built
-/// for, so the next level re-zeroes those entries instead of allocating
-/// and zeroing n doubles.  strictify_almost releases it when it returns.
+/// shrink_once's two n-sized extraction measures (shrink.hpp), kept across
+/// recursion levels: deg_W and the boundary measure.  A level writes each
+/// only on the vertices its extractions read (deg_W on W, the boundary
+/// measure on the classes it extracts from), and the extractions read aux
+/// measures only on the vertex set they cut (parts.hpp), so no level
+/// allocates or zeroes n doubles.  strictify_almost releases both when it
+/// returns.
 struct ShrinkWorkspace {
   std::vector<double> deg_w;
-  std::vector<Vertex> deg_w_support;
+  std::vector<double> bnd;
 };
 
 class DecomposeWorkspace {

@@ -33,20 +33,22 @@ std::vector<std::vector<Vertex>> color_classes(const Coloring& chi) {
 }
 
 std::vector<double> class_boundary_costs(const Graph& g, const Coloring& chi) {
+  std::vector<double> out(static_cast<std::size_t>(chi.k));
+  class_boundary_costs(g, chi, out);
+  return out;
+}
+
+void class_boundary_costs(const Graph& g, const Coloring& chi,
+                          std::span<double> out) {
   MMD_REQUIRE(static_cast<Vertex>(chi.color.size()) == g.num_vertices(),
               "coloring arity mismatch");
-  std::vector<double> out(static_cast<std::size_t>(chi.k), 0.0);
-  // Per-vertex incidence sweep: each bichromatic edge is seen once from
-  // each endpoint and contributes to that endpoint's class.
+  MMD_REQUIRE(out.size() == static_cast<std::size_t>(chi.k),
+              "one boundary cost per class");
+  std::fill(out.begin(), out.end(), 0.0);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     const std::int32_t c = chi[v];
-    if (c < 0) continue;
-    double cross = 0.0;
-    for (const HalfEdge& h : g.incidence(v))
-      if (chi[h.to] != c) cross += h.cost;
-    out[static_cast<std::size_t>(c)] += cross;
+    if (c >= 0) out[static_cast<std::size_t>(c)] += boundary_cost_of(g, chi, v);
   }
-  return out;
 }
 
 double max_boundary_cost(const Graph& g, const Coloring& chi) {

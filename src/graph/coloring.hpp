@@ -45,10 +45,32 @@ std::vector<double> class_measure(std::span<const double> mu, const Coloring& ch
 /// The color classes as vertex lists.
 std::vector<std::vector<Vertex>> color_classes(const Coloring& chi);
 
-/// Per-class boundary costs c(delta(chi^-1(i))).  An edge whose endpoints
-/// have different colors contributes to both endpoint classes; an edge with
-/// one uncolored endpoint contributes to the colored one.
+/// The boundary cost of one vertex: the cost of v's incident edges whose
+/// other endpoint is not of v's color (an uncolored neighbor counts for a
+/// colored v, and a colored neighbor for an uncolored v).  Summed over v's
+/// incidence list, which runs in edge-id order.  This is the one spelling
+/// of the per-vertex boundary sum: class_boundary_costs adds it up per
+/// class, Proposition 7's bichromatic measure Psi (measures.hpp) is it at
+/// every vertex, and for v in a class U it is Section 5's boundary measure
+/// c(delta(v) cap delta(U)) (shrink.hpp).
+inline double boundary_cost_of(const Graph& g, const Coloring& chi, Vertex v) {
+  const std::int32_t c = chi[v];
+  double s = 0.0;
+  for (const HalfEdge& h : g.incidence(v))
+    if (chi[h.to] != c) s += h.cost;
+  return s;
+}
+
+/// Per-class boundary costs c(delta(chi^-1(i))): boundary_cost_of summed
+/// over each class in vertex order.  An edge whose endpoints have
+/// different colors contributes to both endpoint classes; an edge with one
+/// uncolored endpoint contributes to the colored one.
 std::vector<double> class_boundary_costs(const Graph& g, const Coloring& chi);
+
+/// class_boundary_costs into `out` (size chi.k, overwritten); allocates
+/// nothing.
+void class_boundary_costs(const Graph& g, const Coloring& chi,
+                          std::span<double> out);
 
 /// ||d chi^-1||_inf, the maximum boundary cost (Definition 1).
 double max_boundary_cost(const Graph& g, const Coloring& chi);

@@ -206,7 +206,10 @@ class Graph {
   }
 
   /// Fused (neighbor, edge id, cost) triples of v in one pass; HalfEdge
-  /// values are materialized from the packed storage plus ecost_.
+  /// values are materialized from the packed storage plus ecost_.  Every
+  /// adjacency view of v runs in ascending edge id (GraphBuilder emits the
+  /// half-edges edge by edge), so a per-vertex sum adds in the order of an
+  /// edge loop.
   IncidenceRange incidence(Vertex v) const {
     assert_vertex(v);
     const std::size_t b = offset(v);

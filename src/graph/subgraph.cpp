@@ -56,15 +56,6 @@ double set_measure_max(std::span<const double> mu, std::span<const Vertex> w_lis
   return m;
 }
 
-double boundary_cost(const Graph& g, std::span<const Vertex> u_list,
-                     const Membership& in_u) {
-  double s = 0.0;
-  for (Vertex v : u_list)
-    for (const HalfEdge& h : g.incidence(v))
-      if (!in_u.contains(h.to)) s += h.cost;
-  return s;
-}
-
 double boundary_cost_within(const Graph& g, std::span<const Vertex> u_list,
                             const Membership& in_u, const Membership& in_w) {
   double s = 0.0;
@@ -72,16 +63,6 @@ double boundary_cost_within(const Graph& g, std::span<const Vertex> u_list,
     for (const HalfEdge& h : g.incidence(v))
       if (in_w.contains(h.to) && !in_u.contains(h.to)) s += h.cost;
   return s;
-}
-
-std::int64_t cut_size_within(const Graph& g, std::span<const Vertex> u_list,
-                             const Membership& in_u, const Membership& in_w) {
-  std::int64_t cnt = 0;
-  for (Vertex v : u_list) {
-    for (Vertex u : g.neighbors(v))
-      if (in_w.contains(u) && !in_u.contains(u)) ++cnt;
-  }
-  return cnt;
 }
 
 std::vector<Vertex> set_difference(std::span<const Vertex> w_list,

@@ -93,19 +93,10 @@ double set_measure(std::span<const double> mu, std::span<const Vertex> w_list);
 /// Max measure over a vertex list (0 if empty).
 double set_measure_max(std::span<const double> mu, std::span<const Vertex> w_list);
 
-/// Boundary cost c(delta(U)) of U in the host graph.
-/// `in_u` must represent exactly `u_list`.
-double boundary_cost(const Graph& g, std::span<const Vertex> u_list,
-                     const Membership& in_u);
-
 /// Boundary cost of U inside G[W]:  cost of edges of E(W) with exactly one
 /// endpoint in U.  U must be a subset of W.
 double boundary_cost_within(const Graph& g, std::span<const Vertex> u_list,
                             const Membership& in_u, const Membership& in_w);
-
-/// Number of edges of E(W) with exactly one endpoint in U (unit-cost cut).
-std::int64_t cut_size_within(const Graph& g, std::span<const Vertex> u_list,
-                             const Membership& in_u, const Membership& in_w);
 
 /// The complement W \ U, given U as a membership.
 std::vector<Vertex> set_difference(std::span<const Vertex> w_list,

@@ -277,10 +277,4 @@ Coloring read_partition(std::istream& is, int k) {
   return chi;
 }
 
-Coloring read_partition_file(const std::string& path, int k) {
-  std::ifstream is(path);
-  MMD_REQUIRE(is.good(), "cannot open " + path + " for reading");
-  return read_partition(is, k);
-}
-
 }  // namespace mmd

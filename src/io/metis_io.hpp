@@ -56,6 +56,5 @@ void write_partition(const Coloring& chi, std::ostream& os);
 void write_partition_file(const Coloring& chi, const std::string& path);
 
 Coloring read_partition(std::istream& is, int k);
-Coloring read_partition_file(const std::string& path, int k);
 
 }  // namespace mmd

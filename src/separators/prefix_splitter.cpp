@@ -28,20 +28,19 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   const SweepMode mode = sweep_mode();
 
   // The candidate family — BFS, then the cached coordinate sweeps, then
-  // Morton — is fixed up front so the serial loop and the parallel path
-  // enumerate (and tie-break) the exact same indexed sequence.
+  // Morton — is fixed up front and indexed by candidate_order, so the
+  // serial loop and the parallel path enumerate (and tie-break) the exact
+  // same sequence.
   int num_sweeps = 0;
-  bool morton = false;
+  int candidates = options_.use_bfs ? 1 : 0;
   if (options_.use_coordinate_sweeps && g.has_coords()) {
     cache_->bind(g);
     // Same sweep family as the seed: lexicographic, per-axis (cached
     // global orders restricted to W), and — in dimension >= 2, where it
     // differs from lexicographic — Morton anchored at W's bounding box.
     num_sweeps = cache_->num_orders();
-    morton = g.dim() >= 2;
+    candidates += num_sweeps + (g.dim() >= 2 ? 1 : 0);
   }
-  const int candidates =
-      (options_.use_bfs ? 1 : 0) + num_sweeps + (morton ? 1 : 0);
 
   // Candidates fan out only from outside the pool: inside a pooled task
   // (a lane-tree leaf, a strictify extraction) the nested run() executes
@@ -50,7 +49,7 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   SplitResult best;
   if (thread_pool() != nullptr && candidates >= 2 &&
       !ThreadPool::on_worker_thread()) {
-    best = split_parallel(request, stats, num_sweeps, morton);
+    best = split_parallel(request, stats, num_sweeps, candidates);
   } else {
     bool have_best = false;
     auto consider = [&](std::span<const Vertex> order) {
@@ -73,20 +72,9 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
       }
     };
 
-    if (options_.use_bfs) {
-      // SweepEval reads the BFS order only up to the split's horizon.
-      const SweepHorizon horizon(request.weights, request.target, stats);
-      pseudo_peripheral_bfs_order_into(g, request.w_list, slot0.bfs,
-                                       slot0.order, &horizon);
-      consider(slot0.order);
-    }
-    for (int idx = 0; idx < num_sweeps; ++idx) {
-      cache_->subset_order(idx, request.w_list, &in_w_, slot0.order,
-                           slot0.radix);
-      consider(slot0.order);
-    }
-    if (morton) {
-      cache_->subset_morton_order(request.w_list, slot0.order, slot0.radix);
+    const SweepHorizon horizon(request.weights, request.target, stats);
+    for (int i = 0; i < candidates; ++i) {
+      candidate_order(i, request, horizon, num_sweeps, slot0);
       consider(slot0.order);
     }
     if (!have_best) {  // coordinate-free fallback: id order
@@ -103,13 +91,27 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   return best;
 }
 
+void PrefixSplitter::candidate_order(int i, const SplitRequest& request,
+                                     const SweepHorizon& horizon,
+                                     int num_sweeps, EvalSlot& slot) {
+  const int bfs = options_.use_bfs ? 1 : 0;
+  if (i < bfs) {
+    // SweepEval reads the BFS order only up to the split's horizon.
+    pseudo_peripheral_bfs_order_into(*request.g, request.w_list, slot.bfs,
+                                     slot.order, &horizon);
+  } else if (i - bfs < num_sweeps) {
+    cache_->subset_order(i - bfs, request.w_list, &in_w_, slot.order,
+                         slot.radix);
+  } else {
+    cache_->subset_morton_order(request.w_list, slot.order, slot.radix);
+  }
+}
+
 SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
                                            const SubsetWeightStats& stats,
-                                           int num_sweeps, bool morton) {
+                                           int num_sweeps, int count) {
   const Graph& g = *request.g;
   const SweepMode mode = sweep_mode();
-  const int bfs = options_.use_bfs ? 1 : 0;
-  const int count = bfs + num_sweeps + (morton ? 1 : 0);
   while (slots_.size() < static_cast<std::size_t>(count))
     slots_.push_back(std::make_unique<EvalSlot>());
 
@@ -122,15 +124,7 @@ SplitResult PrefixSplitter::split_parallel(const SplitRequest& request,
   const SweepHorizon horizon(request.weights, request.target, stats);
   thread_pool()->run(count, [&](int i) {
     EvalSlot& slot = *slots_[static_cast<std::size_t>(i)];
-    if (i < bfs) {
-      pseudo_peripheral_bfs_order_into(g, request.w_list, slot.bfs,
-                                       slot.order, &horizon);
-    } else if (i - bfs < num_sweeps) {
-      cache_->subset_order(i - bfs, request.w_list, &in_w_, slot.order,
-                           slot.radix);
-    } else {
-      cache_->subset_morton_order(request.w_list, slot.order, slot.radix);
-    }
+    candidate_order(i, request, horizon, num_sweeps, slot);
     slot.in_u.ensure(g.num_vertices());
     slot.res = slot.sweep.eval(g, slot.order, request.weights, request.target,
                                stats, in_w_, slot.in_u, mode);

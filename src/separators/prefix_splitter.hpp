@@ -83,7 +83,15 @@ class PrefixSplitter final : public ISplitter {
   /// reduction picks the same winner either way.)
   SplitResult split_parallel(const SplitRequest& request,
                              const SubsetWeightStats& stats, int num_sweeps,
-                             bool morton);
+                             int count);
+
+  /// Candidate order `i` of one split, written into slot.order: BFS from a
+  /// pseudo-peripheral vertex (when enabled), then the cache's
+  /// `num_sweeps` coordinate sweeps, then Morton.  The serial loop and
+  /// split_parallel enumerate this one indexed sequence.
+  void candidate_order(int i, const SplitRequest& request,
+                       const SweepHorizon& horizon, int num_sweeps,
+                       EvalSlot& slot);
 
   PrefixSplitterOptions options_;
   // Per-instance scratch (ISplitter contract: splitters may keep scratch).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "core/measures.hpp"
 #include "graph/coloring.hpp"
 #include "test_helpers.hpp"
 
@@ -63,6 +66,83 @@ TEST(ClassBoundaryCosts, UncoloredEndpointCountsForColoredSide) {
   // Class 0 still pays the bridge; class 1 pays edges 3-4 (4) and 5-3 (6).
   EXPECT_DOUBLE_EQ(bc[0], 10.0);
   EXPECT_DOUBLE_EQ(bc[1], 10.0);
+}
+
+TEST(BoundaryCostOf, MatchesCutDefinition) {
+  const Graph g = two_triangles();
+  Coloring chi = triangle_split();
+  // Only vertex 2 touches the bridge out of class 0; vertex 3 pays it
+  // from class 1.
+  EXPECT_EQ(boundary_cost_of(g, chi, 0), 0.0);
+  EXPECT_EQ(boundary_cost_of(g, chi, 2), 10.0);
+  EXPECT_EQ(boundary_cost_of(g, chi, 3), 10.0);
+  EXPECT_EQ(boundary_cost_of(g, chi, 5), 0.0);
+  // Summed over a class it is the class's cut.
+  EXPECT_EQ(boundary_cost_of(g, chi, 0) + boundary_cost_of(g, chi, 1) +
+                boundary_cost_of(g, chi, 2),
+            class_boundary_costs(g, chi)[0]);
+
+  // An uncolored neighbor counts for a colored vertex, and a colored
+  // neighbor for an uncolored one; two uncolored endpoints do not count.
+  chi[3] = kUncolored;
+  chi[4] = kUncolored;
+  EXPECT_EQ(boundary_cost_of(g, chi, 2), 10.0);        // 2-3
+  EXPECT_EQ(boundary_cost_of(g, chi, 3), 10.0 + 6.0);  // 3-2, 3-5; not 3-4
+  EXPECT_EQ(boundary_cost_of(g, chi, 4), 5.0);         // 4-5; not 4-3
+  EXPECT_EQ(boundary_cost_of(g, chi, 5), 5.0 + 6.0);   // 5-4, 5-3
+}
+
+/// Proposition 7's Psi as an edge loop: each bichromatic edge adds its cost
+/// to both endpoints, in edge-id order.
+std::vector<double> psi_by_edges(const Graph& g, const Coloring& chi) {
+  std::vector<double> psi(static_cast<std::size_t>(g.num_vertices()), 0.0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    if (chi[u] == chi[v]) continue;
+    const double c = g.edge_cost(e);
+    psi[static_cast<std::size_t>(u)] += c;
+    psi[static_cast<std::size_t>(v)] += c;
+  }
+  return psi;
+}
+
+std::vector<std::uint64_t> bits(std::span<const double> xs) {
+  std::vector<std::uint64_t> out;
+  for (double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(BoundaryCostOf, PsiEqualsTheEdgeLoopBitForBit) {
+  // Incidence lists run in edge-id order, so the per-vertex sum adds the
+  // same costs in the same order as the edge loop.
+  for (const auto& [name, g] : testing::costed_graphs())
+    for (const int k : {2, 7})
+      for (const bool partial : {false, true})
+        for (const std::uint64_t seed : {3ull, 11ull}) {
+          const Coloring chi = testing::random_colors(g, k, partial, seed);
+          EXPECT_EQ(bits(bichromatic_cost_measure(g, chi)),
+                    bits(psi_by_edges(g, chi)))
+              << name << " k=" << k << " partial=" << partial
+              << " seed=" << seed;
+        }
+}
+
+TEST(BoundaryCostOf, ClassCostsAreTheClassMeasureOfPsiBitForBit) {
+  for (const auto& [name, g] : testing::costed_graphs())
+    for (const int k : {2, 7})
+      for (const bool partial : {false, true})
+        for (const std::uint64_t seed : {3ull, 11ull}) {
+          const Coloring chi = testing::random_colors(g, k, partial, seed);
+          const std::vector<double> bc = class_boundary_costs(g, chi);
+          EXPECT_EQ(bits(bc),
+                    bits(class_measure(bichromatic_cost_measure(g, chi), chi)))
+              << name << " k=" << k << " partial=" << partial
+              << " seed=" << seed;
+          // The non-allocating overload overwrites whatever it is given.
+          std::vector<double> into(static_cast<std::size_t>(k), -1.0);
+          class_boundary_costs(g, chi, into);
+          EXPECT_EQ(bits(into), bits(bc)) << name;
+        }
 }
 
 TEST(BalanceReport, PerfectBalance) {

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gen/geometric.hpp"
+#include "gen/grid.hpp"
+#include "gen/mesh.hpp"
 #include "graph/subgraph.hpp"
+#include "util/prng.hpp"
 
 namespace mmd::testing {
 
@@ -23,6 +27,34 @@ Graph two_triangles() {
   builder.add_edge(4, 5, 5.0);
   builder.add_edge(5, 3, 6.0);
   return builder.build();
+}
+
+std::vector<std::pair<std::string, Graph>> costed_graphs() {
+  CostParams costs;
+  costs.model = CostModel::LogUniform;
+  costs.lo = 0.01;
+  costs.hi = 100.0;
+  costs.seed = 41;
+  const int n3 = 2000;
+  std::vector<std::pair<std::string, Graph>> out;
+  out.emplace_back("grid", make_grid_cube(2, 30, costs));
+  out.emplace_back("tri-mesh", make_tri_mesh(24, 30, costs));
+  out.emplace_back(
+      "geo3", make_random_geometric3(
+                  n3, std::cbrt(10.0 * 3.0 / (4.0 * 3.14159265358979 * n3)),
+                  costs, 29));
+  return out;
+}
+
+Coloring random_colors(const Graph& g, int k, bool partial, std::uint64_t seed) {
+  Rng rng(seed);
+  Coloring chi(k, g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    chi[v] = partial && rng.next_below(3) == 0
+                 ? kUncolored
+                 : static_cast<std::int32_t>(
+                       rng.next_below(static_cast<std::uint64_t>(k)));
+  return chi;
 }
 
 std::vector<WeightModel> weight_models() {

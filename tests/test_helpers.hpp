@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/weights.hpp"
@@ -21,6 +22,15 @@ std::vector<Vertex> all_vertices(const Graph& g);
 /// by the structural unit tests:
 ///   0-1, 1-2, 2-0 (costs 1,2,3), 2-3 (cost 10), 3-4, 4-5, 5-3 (costs 4,5,6)
 Graph two_triangles();
+
+/// A 30x30 grid, a 24x30 triangulated mesh and a 2000-vertex 3-D random
+/// geometric graph, named, with log-uniform edge costs in [0.01, 100], so
+/// that the order of the additions shows in the bits of a cost sum.
+std::vector<std::pair<std::string, Graph>> costed_graphs();
+
+/// Colors drawn uniformly from [0, k); with `partial`, about a third of
+/// the vertices stay uncolored.
+Coloring random_colors(const Graph& g, int k, bool partial, std::uint64_t seed);
 
 /// Parameter grids shared by the property sweeps.
 std::vector<WeightModel> weight_models();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "core/bisection.hpp"
@@ -299,32 +300,67 @@ TEST(ExtractLightPart, EmptyInput) {
   EXPECT_TRUE(part.part.empty());
 }
 
-TEST(BoundaryMeasureOf, MatchesCutDefinition) {
-  const Graph g = testing::two_triangles();
-  const std::vector<Vertex> u{0, 1, 2};
-  std::vector<double> bnd;
-  std::vector<Vertex> touched;
-  Membership scratch(g.num_vertices());
-  boundary_measure_of(g, u, bnd, touched, scratch);
-  // Only vertex 2 touches the bridge out of U.
-  EXPECT_DOUBLE_EQ(bnd[2], 10.0);
-  EXPECT_DOUBLE_EQ(bnd[0], 0.0);
-  EXPECT_DOUBLE_EQ(bnd[1], 0.0);
-  EXPECT_DOUBLE_EQ(bnd[3], 0.0);  // outside U: zero by convention
-  EXPECT_EQ(touched, u);
-  // Sum over U equals the boundary cost of U.
-  Membership in_u(g.num_vertices());
-  in_u.assign(u);
-  EXPECT_DOUBLE_EQ(set_measure(bnd, u), boundary_cost(g, u, in_u));
-
-  // The next call re-zeroes the previous U's entries.
-  const std::vector<Vertex> u2{3, 4};
-  boundary_measure_of(g, u2, bnd, touched, scratch);
-  EXPECT_DOUBLE_EQ(bnd[2], 0.0);
-  EXPECT_DOUBLE_EQ(bnd[3], 10.0 + 6.0);  // bridge and 3-5
-  EXPECT_DOUBLE_EQ(bnd[4], 5.0);         // 4-5
-  EXPECT_DOUBLE_EQ(bnd[5], 0.0);
-  EXPECT_EQ(touched, u2);
+TEST(AuxContract, NaNOutsideUAnswersAsZeros) {
+  // Both extractions read aux measures only at vertices of U (parts.hpp),
+  // so poisoning every entry outside U with NaN must leave the part, its
+  // weight and the splitter cost exactly as with zeros there.  U is a class
+  // of a random total or partial coloring; the measures are shrink_once's
+  // deg_W-like and boundary ones, plus one concentrated at a vertex of U
+  // with the median first coordinate, which the peel, working in from U's
+  // edge, certifies only after many chunks: a NaN read there would change
+  // where the peel stops.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& named : testing::costed_graphs()) {
+    const std::string& name = named.first;
+    const Graph& g = named.second;
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    const std::vector<double> psi =
+        testing::weights_for(g, WeightModel::Uniform, 37, 4.0);
+    for (const bool partial : {false, true}) {
+      const Coloring chi = testing::random_colors(g, 3, partial, 5);
+      std::vector<Vertex> u;
+      for (Vertex v = 0; v < g.num_vertices(); ++v)
+        if (chi[v] == 0) u.push_back(v);
+      std::vector<Vertex> by_x = u;
+      const auto mid = by_x.begin() + static_cast<std::ptrdiff_t>(u.size() / 2);
+      std::nth_element(
+          by_x.begin(), mid, by_x.end(),
+          [&](Vertex a, Vertex b) { return g.coords(a)[0] < g.coords(b)[0]; });
+      const Vertex hot = *mid;
+      auto measures = [&](double outside) {
+        std::vector<std::vector<double>> m(3, std::vector<double>(n, outside));
+        for (Vertex v : u) {
+          const auto i = static_cast<std::size_t>(v);
+          m[0][i] = static_cast<double>(g.degree(v));
+          m[1][i] = boundary_cost_of(g, chi, v);
+          m[2][i] = v == hot ? 1.0 : 0.0;
+        }
+        return m;
+      };
+      const auto m0 = measures(0.0);
+      const auto m_nan = measures(nan);
+      const std::vector<MeasureRef> zeros{m0[0], m0[1], m0[2]};
+      const std::vector<MeasureRef> nans{m_nan[0], m_nan[1], m_nan[2]};
+      for (const double frac : {0.1, 0.35}) {
+        const double target = frac * set_measure(psi, u);
+        const std::string where = name + " partial " +
+                                  std::to_string(partial) + " frac " +
+                                  std::to_string(frac);
+        auto expect_same = [&](const ExtractedPart& a, const ExtractedPart& b,
+                               const char* which) {
+          EXPECT_EQ(a.part, b.part) << which << ' ' << where;
+          EXPECT_EQ(a.psi_weight, b.psi_weight) << which << ' ' << where;
+          EXPECT_EQ(a.cut_cost, b.cut_cost) << which << ' ' << where;
+        };
+        PrefixSplitter s0, s1;
+        expect_same(extract_light_part(g, u, psi, target, zeros, s0),
+                    extract_light_part(g, u, psi, target, nans, s1), "light");
+        expect_same(extract_hitting_part(g, u, psi, target, zeros, s0),
+                    extract_hitting_part(g, u, psi, target, nans, s1),
+                    "hitting");
+      }
+    }
+  }
 }
 
 }  // namespace

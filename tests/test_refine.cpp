@@ -61,6 +61,34 @@ TEST(MinmaxRefine, ImprovesARandomColoringSubstantially) {
   EXPECT_GT(stats.moves, 50);
 }
 
+TEST(MinmaxRefine, SeedArgumentLimitsRoundZero) {
+  // An empty seed means "nothing changed": no round runs and the coloring
+  // stays as it is.  A seed covering every vertex visits the whole cut in
+  // id order, which is the unseeded call's round 0.
+  const Graph g = make_grid_cube(2, 20);
+  const std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
+  MinmaxRefineOptions opt;
+  opt.balance_slack = 60.0;  // random start is not balanced; allow room
+  const Coloring start = random_coloring(g, 4, 3);
+
+  Coloring untouched = start;
+  const auto none = minmax_refine(g, untouched, w, opt, nullptr,
+                                  std::span<const Vertex>());
+  EXPECT_EQ(none.moves, 0);
+  EXPECT_EQ(none.rounds, 0);
+  EXPECT_EQ(untouched.color, start.color);
+
+  Coloring full = start;
+  const auto unseeded = minmax_refine(g, full, w, opt);
+  Coloring seeded = start;
+  const std::vector<Vertex> all = testing::all_vertices(g);
+  const auto everywhere = minmax_refine(g, seeded, w, opt, nullptr,
+                                        std::span<const Vertex>(all));
+  EXPECT_GT(unseeded.moves, 0);
+  EXPECT_EQ(everywhere.moves, unseeded.moves);
+  EXPECT_EQ(seeded.color, full.color);
+}
+
 TEST(MinmaxRefine, NoopOnPerfectColoring) {
   // Axis-aligned quarters of a unit grid are locally optimal.
   const Graph g = make_grid_cube(2, 16);

@@ -122,10 +122,11 @@ TEST(Shrink, WorksOnSubsetsOfV) {
 }
 
 TEST(Shrink, WarmWorkspaceAnswersAsAFreshOne) {
-  // The deg_W buffer persists in the workspace across levels and calls;
-  // each call re-zeroes only the previous W's entries.  W sets that are
-  // not nested (left 3/4, then right 3/4) must answer exactly as a fresh
-  // workspace does, and the buffer holds deg_W on W and 0 elsewhere.
+  // The deg_W and boundary buffers persist in the workspace across levels
+  // and calls and are written only where the extractions read them, never
+  // re-zeroed.  W sets that are not nested (left 3/4, then right 3/4) must
+  // answer exactly as a fresh workspace does, and the buffer holds deg_W
+  // on W (what lies outside W is never read).
   ShrinkFixture f;
   auto slab = [&](bool left) {
     std::vector<Vertex> w_list;
@@ -159,10 +160,9 @@ TEST(Shrink, WarmWorkspaceAnswersAsAFreshOne) {
 
     Membership in_w(f.g.num_vertices());
     in_w.assign(w_list);
-    for (Vertex v = 0; v < f.g.num_vertices(); ++v) {
+    for (Vertex v : w_list) {
       double deg = 0.0;
-      if (in_w.contains(v))
-        for (Vertex u : f.g.neighbors(v)) deg += in_w.contains(u) ? 1.0 : 0.0;
+      for (Vertex u : f.g.neighbors(v)) deg += in_w.contains(u) ? 1.0 : 0.0;
       EXPECT_EQ(warm.shrink.deg_w[static_cast<std::size_t>(v)], deg) << v;
     }
   }

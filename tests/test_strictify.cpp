@@ -332,9 +332,9 @@ TEST(StrictifyThreads, WarmLanesStayBitIdenticalAcrossCalls) {
                                           *splitter, {}, &stats, {}, &ws);
     EXPECT_EQ(out.color, serial.strict.color) << "call " << call;
     EXPECT_EQ(stats.cut_cost, serial.stats.cut_cost) << "call " << call;
-    // The deg_W buffer lives only while a call's levels run.
+    // The deg_W and boundary buffers live only while a call's levels run.
     EXPECT_EQ(ws.shrink.deg_w.capacity(), 0u) << "call " << call;
-    EXPECT_EQ(ws.shrink.deg_w_support.capacity(), 0u) << "call " << call;
+    EXPECT_EQ(ws.shrink.bnd.capacity(), 0u) << "call " << call;
   }
 }
 

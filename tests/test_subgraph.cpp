@@ -90,25 +90,6 @@ TEST(SetMeasure, SumAndMax) {
   EXPECT_DOUBLE_EQ(set_measure_max(mu, {}), 0.0);
 }
 
-TEST(BoundaryCost, CutOfFirstTriangle) {
-  const Graph g = two_triangles();
-  const std::vector<Vertex> u{0, 1, 2};
-  Membership in_u(g.num_vertices());
-  in_u.assign(u);
-  // Only the bridge 2-3 (cost 10) crosses.
-  EXPECT_DOUBLE_EQ(boundary_cost(g, u, in_u), 10.0);
-}
-
-TEST(BoundaryCost, SingleVertexIsWeightedDegree) {
-  const Graph g = two_triangles();
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::vector<Vertex> u{v};
-    Membership in_u(g.num_vertices());
-    in_u.assign(u);
-    EXPECT_DOUBLE_EQ(boundary_cost(g, u, in_u), g.weighted_degree(v));
-  }
-}
-
 TEST(BoundaryCostWithin, ExcludesEdgesLeavingW) {
   const Graph g = two_triangles();
   const std::vector<Vertex> w{0, 1, 2};  // G[W] = first triangle
@@ -119,7 +100,6 @@ TEST(BoundaryCostWithin, ExcludesEdgesLeavingW) {
   in_u.assign(u);
   // delta_W({2}) = {2-0 (3), 2-1 (2)}; the bridge 2-3 leaves W.
   EXPECT_DOUBLE_EQ(boundary_cost_within(g, u, in_u, in_w), 5.0);
-  EXPECT_EQ(cut_size_within(g, u, in_u, in_w), 2);
 }
 
 TEST(SetDifference, Complement) {
